@@ -4,13 +4,25 @@ The paper's tool analyzes whole applications: taint entering in one file
 must be observable at a sink in another when the files are linked by an
 ``include``.  This module provides the static half of that story:
 
-* :class:`IncludeResolver` inspects every project file for
-  ``include``/``require``(``_once``) statements and resolves their targets
-  **statically** — literal paths, ``dirname(__FILE__)`` / ``__DIR__``
-  concatenations and, as a last resort, a unique-basename match anywhere
-  in the project.  Dynamic targets (variables, function results) are
-  counted as *unresolved* and the file simply falls back to per-file
-  analysis — never an error.
+* **Include facts** — per file, one entry per include statement: the
+  target operand folded to a *template* (literal text split at every
+  ``__DIR__`` / ``dirname(__FILE__)``, so the fact never embeds a path)
+  or ``None`` for a dynamic target.  Facts depend only on the file's
+  bytes, so they are memoized and persisted by content hash in the AST
+  tier (:meth:`~repro.php.ast_store.AstStore.get_facts`).  They come
+  from a **token-level folder**: a file is lexed only when its bytes
+  mention an include keyword (any case), and nothing is parsed.  The
+  folder decides exactly the forms the AST fold decides — quoted
+  literals without interpolation or escapes, ``.``, grouping parens,
+  ``__DIR__`` and ``dirname(__FILE__)`` — and a file with an operand it
+  cannot prove equivalent falls back to the AST fold through the shared
+  :class:`~repro.php.ast_store.AstStore` (``docs/prefilter.md`` states
+  the rules and why they are sound).
+* :class:`IncludeResolver` turns facts into edges against the project
+  file set — literal paths, directory-relative concatenations and, as a
+  last resort, a unique-basename match anywhere in the project.
+  Dynamic targets are counted as *unresolved* and the file simply falls
+  back to per-file analysis — never an error.
 * :class:`IncludeGraph` is the resolved project graph: a picklable mapping
   from each file to its direct dependencies, plus per-file
   resolved/unresolved counters for telemetry.
@@ -34,21 +46,243 @@ them: each file contributes its state once; re-entry contributes nothing.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import re
 from dataclasses import dataclass, field
 
 from repro.exceptions import PhpSyntaxError
 from repro.php import ast
-from repro.php.ast_store import AstStore
-from repro.php.visitor import find_all
+from repro.php.ast_store import AstStore, read_source
+from repro.php.lexer import tokenize
+from repro.php.tokens import TokenType as T
 
-#: cheap textual pre-filter: files without an include/require *keyword*
-#: are never parsed by the resolver (the common case in big trees).  The
-#: word boundary matters: plain substring matching drags in every file
-#: that merely says "required" in a form label or comment, which on real
-#: trees means parsing nearly everything just to find no edges.
-_HINT_RE = re.compile(r"\b(?:include|require)(?:_once)?\b")
+#: a folded include operand: literal segments, with the including
+#: file's directory standing between each pair (``__DIR__ . '/a.php'``
+#: is ``("", "/a.php")``)
+Template = tuple[str, ...]
+#: one file's include facts: a template (or ``None`` when the target is
+#: dynamic) per include statement, in document order
+Facts = tuple[Template | None, ...]
+
+#: byte-level hint: only files mentioning an include keyword are lexed.
+#: PHP keywords fold case, so the match does too (``REQUIRE_ONCE`` is an
+#: include); the word boundaries keep "required" in a form label out.
+_KEYWORD_HINT = re.compile(rb"\b(?:include|require)(?:_once)?\b", re.IGNORECASE)
+
+_INCLUDE_KEYWORDS = frozenset((T.KW_INCLUDE, T.KW_INCLUDE_ONCE,
+                               T.KW_REQUIRE, T.KW_REQUIRE_ONCE))
+#: a keyword right after one of these is a member or declaration name
+_NAME_CONTEXT = frozenset((T.ARROW, T.NULLSAFE_ARROW, T.DOUBLE_COLON,
+                           T.KW_FUNCTION, T.KW_CONST))
+#: a keyword right after one of these starts an include expression; any
+#: other predecessor sends the file to the AST fold
+_EXPR_CONTEXT = frozenset((
+    T.OPEN_TAG, T.SEMI, T.LBRACE, T.RBRACE, T.LPAREN, T.LBRACKET,
+    T.ASSIGN, T.PLUS_ASSIGN, T.MINUS_ASSIGN, T.MUL_ASSIGN, T.DIV_ASSIGN,
+    T.MOD_ASSIGN, T.CONCAT_ASSIGN, T.POW_ASSIGN, T.AND_ASSIGN,
+    T.OR_ASSIGN, T.XOR_ASSIGN, T.SHL_ASSIGN, T.SHR_ASSIGN,
+    T.COALESCE_ASSIGN, T.DOUBLE_ARROW, T.KW_RETURN, T.KW_ECHO,
+    T.KW_PRINT, T.KW_ELSE, T.NOT, T.AT, T.QUESTION, T.COLON,
+    T.BOOL_AND, T.BOOL_OR, T.KW_AND, T.KW_OR, T.KW_XOR, T.COALESCE))
+#: the operand ends at these wherever they occur ...
+_HARD_STOP = frozenset((T.SEMI, T.CLOSE_TAG, T.EOF))
+#: ... and at these outside brackets
+_STOP = frozenset((T.COMMA, T.COLON, T.DOUBLE_ARROW, T.KW_AS))
+_OPEN = frozenset((T.LPAREN, T.LBRACKET, T.LBRACE))
+_CLOSE = frozenset((T.RPAREN, T.RBRACKET, T.RBRACE))
+#: the only token kinds a foldable operand is made of; any other kind
+#: (a variable, a call, an operator other than ``.``) makes it dynamic
+_FOLDABLE_KINDS = frozenset((T.SQ_STRING, T.DQ_STRING, T.HEREDOC,
+                             T.NOWDOC, T.IDENT, T.LPAREN, T.RPAREN, T.DOT))
+_FOLDABLE_NAMES = frozenset(("__dir__", "dirname", "__file__"))
+
+
+class _Unknown(Exception):
+    """The token folder cannot decide this operand; use the AST fold."""
+
+
+def token_facts(tokens) -> Facts | None:
+    """Include facts from one file's token list.
+
+    ``None`` when some include needs the AST fold to be decided: an
+    unusual predecessor of the keyword, or an operand that is neither
+    provably foldable nor provably dynamic.
+    """
+    facts: list[Template | None] = []
+    prev = None
+    for i, tok in enumerate(tokens):
+        kind = tok.type
+        if kind in _INCLUDE_KEYWORDS and prev not in _NAME_CONTEXT:
+            if prev not in _EXPR_CONTEXT:
+                return None
+            try:
+                facts.append(_fold_operand(tokens, i + 1))
+            except _Unknown:
+                return None
+        prev = kind
+    return tuple(facts)
+
+
+def _fold_operand(tokens, start: int) -> Template | None:
+    """The template of the operand starting at *start*; ``None`` if it is
+    dynamic.  Raises :class:`_Unknown` when undecidable here.
+
+    Every token before the operand's end belongs to the operand's
+    expression, so one token the fold never accepts proves the AST fold
+    yields ``None`` too.
+    """
+    end = start
+    depth = 0
+    while True:
+        kind = tokens[end].type
+        if kind in _HARD_STOP or (depth == 0 and kind in _STOP):
+            break
+        if kind in _OPEN:
+            depth += 1
+        elif kind in _CLOSE:
+            if depth == 0:
+                break
+            depth -= 1
+        end += 1
+    operand = tokens[start:end]
+    if not operand:
+        raise _Unknown
+    for tok in operand:
+        if tok.type not in _FOLDABLE_KINDS or (
+                tok.type is T.IDENT
+                and tok.value.lower() not in _FOLDABLE_NAMES):
+            return None
+    segments = [""]
+    if _fold_concat(operand, 0, segments) != len(operand):
+        raise _Unknown
+    return tuple(segments)
+
+
+def _fold_concat(tokens, i: int, segments: list[str]) -> int:
+    """Fold ``atom ('.' atom)*`` from *i* into *segments*; returns the
+    index after it."""
+    i = _fold_atom(tokens, i, segments)
+    while i < len(tokens) and tokens[i].type is T.DOT:
+        i = _fold_atom(tokens, i + 1, segments)
+    return i
+
+
+def _fold_atom(tokens, i: int, segments: list[str]) -> int:
+    if i >= len(tokens):
+        raise _Unknown
+    tok = tokens[i]
+    kind = tok.type
+    if kind is T.SQ_STRING or (kind is T.DQ_STRING and "\\" not in tok.value
+                               and "$" not in tok.value):
+        segments[-1] += tok.value
+        return i + 1
+    if kind is T.LPAREN:
+        i = _fold_concat(tokens, i + 1, segments)
+        if i >= len(tokens) or tokens[i].type is not T.RPAREN:
+            raise _Unknown
+        return i + 1
+    if kind is T.IDENT:
+        name = tok.value.lower()
+        if name == "__dir__":
+            segments.append("")
+            return i + 1
+        if name == "dirname" and [t.type for t in tokens[i + 1:i + 4]] \
+                == [T.LPAREN, T.IDENT, T.RPAREN] \
+                and tokens[i + 2].value.lower() == "__file__":
+            segments.append("")
+            return i + 4
+    raise _Unknown
+
+
+def ast_facts(program: ast.Program) -> Facts:
+    """The AST fold: one fact per ``Include`` node, in pre-order."""
+    return tuple(_ast_template(node.expr) for node in program.walk()
+                 if isinstance(node, ast.Include))
+
+
+def _ast_template(expr: ast.Node | None) -> Template | None:
+    """Fold *expr* to a template, or None if it is dynamic."""
+    if isinstance(expr, ast.Literal) and expr.kind == "string":
+        return (str(expr.value),)
+    if isinstance(expr, ast.ConstFetch) and expr.name.lower() == "__dir__":
+        return ("", "")
+    if isinstance(expr, ast.FunctionCall) \
+            and isinstance(expr.name, str) \
+            and expr.name.lower() == "dirname" and len(expr.args) == 1:
+        inner = expr.args[0].value \
+            if isinstance(expr.args[0], ast.Argument) else expr.args[0]
+        if isinstance(inner, ast.ConstFetch) \
+                and inner.name.lower() == "__file__":
+            return ("", "")
+    parts: list = []
+    if isinstance(expr, ast.BinaryOp) and expr.op == ".":
+        parts = [expr.left, expr.right]
+    elif isinstance(expr, ast.InterpolatedString):
+        parts = expr.parts
+    else:
+        return None
+    segments = [""]
+    for part in parts:
+        folded = _ast_template(part)
+        if folded is None:
+            return None
+        segments[-1] += folded[0]
+        segments.extend(folded[1:])
+    return tuple(segments)
+
+
+def derive_facts(store: AstStore, raw: bytes, raw_hash: str, path: str,
+                 keep_tokens: bool = False, tracer=None) -> Facts | None:
+    """One file's include facts from its bytes, through *store*'s memo.
+
+    Lexes only files whose bytes hint at an include keyword.  Returns
+    ``None`` when the token folder defers to the AST fold
+    (:func:`fallback_facts` then decides and stores the facts, parsing
+    the tokens left in *store*).  With *keep_tokens*, a lexed file's
+    token list is left in *store* for the scan-phase parse, so the file
+    is not lexed twice.  *tracer*, when given, records the lex as a
+    ``lex`` span.
+    """
+    if _KEYWORD_HINT.search(raw) is None:
+        return ()
+    facts = store.get_facts(raw_hash)
+    if facts is not None:
+        return facts
+    text = read_source(raw)
+    store.include_lexes += 1
+    try:
+        if tracer is None:
+            tokens = tokenize(text, path)
+        else:
+            with tracer.span("lex", phase="lex", file=path):
+                tokens = tokenize(text, path)
+    except PhpSyntaxError:
+        tokens = None
+    facts = token_facts(tokens) if tokens is not None else ()
+    if tokens is not None and (keep_tokens or facts is None):
+        # the scan phase, or the AST fold right after, parses them
+        store.keep_tokens(store.source_key(text), tokens)
+    if facts is not None:
+        store.put_facts(raw_hash, facts)
+    return facts
+
+
+def fallback_facts(store: AstStore, path: str) -> Facts:
+    """Decide one file's facts with the AST fold (and store them)."""
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except OSError:
+        return ()
+    store.include_fallbacks += 1
+    try:
+        program, _ = store.parse_recovering(read_source(raw), path)
+        facts = ast_facts(program)
+    except (PhpSyntaxError, RecursionError):
+        facts = ()  # unparseable file: no edges, scanned standalone
+    store.put_facts(hashlib.sha256(raw).hexdigest(), facts)
+    return facts
 
 
 @dataclass
@@ -117,14 +351,10 @@ class IncludeGraph:
 
 
 class IncludeResolver:
-    """Builds an :class:`IncludeGraph` from the files of one scan."""
+    """Resolves include facts against the files of one scan."""
 
-    def __init__(self, paths: list[str],
-                 ast_store: AstStore | None = None) -> None:
+    def __init__(self, paths: list[str]) -> None:
         self.paths = list(paths)
-        # shared frontend memo: the ASTs parsed while resolving includes
-        # are handed on to the scan phase instead of being thrown away
-        self.ast_store = ast_store if ast_store is not None else AstStore()
         # membership indexes: absolute normalized path and basename
         self._by_abs: dict[str, str] = {}
         self._by_base: dict[str, list[str]] = {}
@@ -137,44 +367,18 @@ class IncludeResolver:
         return os.path.normcase(os.path.normpath(os.path.abspath(path)))
 
     # ------------------------------------------------------------------
-    def build(self, sources: dict[str, str] | None = None) -> IncludeGraph:
-        """Resolve every include in every project file.
-
-        Args:
-            sources: optional path -> source text map; files not in it are
-                read from disk.  Lets the scheduler reuse the bytes it
-                already read for content hashing.
-        """
-        graph = IncludeGraph()
-        for path in self.paths:
-            self._resolve_into(graph, path, (sources or {}).get(path))
-        return graph
-
-    def _resolve_into(self, graph: IncludeGraph, path: str,
-                      source: str | None) -> None:
-        """Resolve one file's includes and record them on *graph*.
+    def add(self, graph: IncludeGraph, path: str, facts: Facts) -> None:
+        """Resolve one file's facts and record them on *graph*.
 
         A file's edges depend only on its own source text and the project
         file *set* (the resolver's membership indexes) — which is what
         makes :func:`update_include_graph` sound: unchanged files of an
         unchanged file set keep their old edges verbatim.
         """
-        if source is None:
-            try:
-                with open(path, encoding="utf-8", errors="replace") as f:
-                    source = f.read()
-            except OSError:
-                return
-        if _HINT_RE.search(source.lower()) is None:
-            return
-        try:
-            program, _ = self.ast_store.parse_recovering(source, path)
-        except PhpSyntaxError:
-            return  # unparseable file: no edges, scanned standalone
         deps: list[str] = []
         resolved = unresolved = 0
-        for node in find_all(program, ast.Include):
-            target = self.resolve(node.expr, path)
+        for template in facts:
+            target = self.resolve_template(template, path)
             if target is None:
                 unresolved += 1
                 continue
@@ -188,10 +392,16 @@ class IncludeResolver:
         if unresolved:
             graph.unresolved[path] = unresolved
 
-    # ------------------------------------------------------------------
     def resolve(self, expr: ast.Node | None, src_path: str) -> str | None:
         """Resolve one include target expression to a project file path."""
-        text = self._static_text(expr, src_path)
+        return self.resolve_template(_ast_template(expr), src_path)
+
+    def resolve_template(self, template: Template | None,
+                         src_path: str) -> str | None:
+        """Resolve one folded include target to a project file path."""
+        if template is None:
+            return None
+        text = os.path.dirname(os.path.abspath(src_path)).join(template)
         if not text:
             return None
         if os.path.isabs(text):
@@ -208,69 +418,55 @@ class IncludeResolver:
             return matches[0]
         return None
 
-    def _static_text(self, expr: ast.Node | None,
-                     src_path: str) -> str | None:
-        """Fold *expr* to a constant string, or None if it is dynamic."""
-        if isinstance(expr, ast.Literal) and expr.kind == "string":
-            return str(expr.value)
-        if isinstance(expr, ast.ConstFetch) \
-                and expr.name.lower() == "__dir__":
-            return os.path.dirname(os.path.abspath(src_path))
-        if isinstance(expr, ast.FunctionCall) \
-                and isinstance(expr.name, str) \
-                and expr.name.lower() == "dirname" and len(expr.args) == 1:
-            inner = expr.args[0].value \
-                if isinstance(expr.args[0], ast.Argument) else expr.args[0]
-            if isinstance(inner, ast.ConstFetch) \
-                    and inner.name.lower() == "__file__":
-                return os.path.dirname(os.path.abspath(src_path))
-        if isinstance(expr, ast.BinaryOp) and expr.op == ".":
-            left = self._static_text(expr.left, src_path)
-            right = self._static_text(expr.right, src_path)
-            if left is not None and right is not None:
-                return left + right
-        if isinstance(expr, ast.InterpolatedString):
-            parts = []
-            for part in expr.parts:
-                folded = self._static_text(part, src_path)
-                if folded is None:
-                    return None
-                parts.append(folded)
-            return "".join(parts)
-        return None
-
 
 def build_include_graph(paths: list[str],
-                        sources: dict[str, str] | None = None,
-                        ast_store: AstStore | None = None
+                        facts: dict[str, Facts | None] | None = None,
+                        ast_store: AstStore | None = None,
+                        hashes: dict[str, str] | None = None
                         ) -> IncludeGraph:
-    """Convenience wrapper: resolve the include graph of *paths*."""
-    return IncludeResolver(paths, ast_store=ast_store).build(sources)
+    """Resolve the include graph of *paths*.
+
+    Args:
+        facts: path -> facts the caller already derived
+            (:func:`derive_facts`); ``None`` values still need the AST
+            fold.  Files not in it are read and derived here.
+        ast_store: the memo facts are served from and stored in.
+        hashes: path -> raw content hash, so memoized facts are served
+            without reading the file.
+    """
+    store = ast_store if ast_store is not None else AstStore()
+    resolver = IncludeResolver(paths)
+    graph = IncludeGraph()
+    for path in paths:
+        resolver.add(graph, path,
+                     _facts_of(store, path, facts, hashes))
+    return graph
 
 
 def update_include_graph(graph: IncludeGraph, paths: list[str],
                          dirty: set[str] | list[str],
-                         sources: dict[str, str] | None = None,
-                         ast_store: AstStore | None = None
+                         ast_store: AstStore | None = None,
+                         hashes: dict[str, str] | None = None
                          ) -> IncludeGraph:
     """Re-resolve only *dirty* files of an otherwise-unchanged project.
 
     Incremental counterpart of :func:`build_include_graph` for warm
     re-scans: a file's include edges depend solely on its own source and
     the project file set, so when the file set is unchanged only edited
-    files need re-parsing — clean files carry their edges over verbatim.
+    files need their facts — clean files carry their edges over verbatim.
 
     Callers must fall back to a full :func:`build_include_graph` whenever
     files were added or removed (a new file can steal a unique-basename
     resolution from every other file).  Returns a fresh graph; *graph*
     itself is never mutated.
     """
-    resolver = IncludeResolver(paths, ast_store=ast_store)
+    store = ast_store if ast_store is not None else AstStore()
+    resolver = IncludeResolver(paths)
     dirty_set = set(dirty)
     out = IncludeGraph()
     for path in paths:
         if path in dirty_set:
-            resolver._resolve_into(out, path, (sources or {}).get(path))
+            resolver.add(out, path, _facts_of(store, path, None, hashes))
             continue
         if path in graph.deps:
             out.deps[path] = graph.deps[path]
@@ -279,6 +475,27 @@ def update_include_graph(graph: IncludeGraph, paths: list[str],
         if path in graph.unresolved:
             out.unresolved[path] = graph.unresolved[path]
     return out
+
+
+def _facts_of(store: AstStore, path: str,
+              facts: dict[str, Facts | None] | None,
+              hashes: dict[str, str] | None) -> Facts:
+    """*path*'s facts: as the caller derived them, served by content
+    hash, or read and derived here."""
+    if facts is not None and path in facts:
+        got = facts[path]
+    else:
+        got = store.get_facts(hashes[path]) \
+            if hashes and path in hashes else None
+        if got is None:
+            try:
+                with open(path, "rb") as f:
+                    raw = f.read()
+            except OSError:
+                return ()
+            got = derive_facts(store, raw, hashlib.sha256(raw).hexdigest(),
+                               path)
+    return got if got is not None else fallback_facts(store, path)
 
 
 class IncludeContext:
@@ -407,10 +624,11 @@ class IncludeContext:
         if path not in self._programs:
             program = key = module = None
             try:
-                with open(path, encoding="utf-8", errors="replace") as f:
-                    source = f.read()
+                with open(path, "rb") as f:
+                    source = read_source(f.read())
                 key = self.ast_store.source_key(source)
-                program, _ = self.ast_store.parse_recovering(source, path)
+                program, _ = self.ast_store.parse_recovering(source, path,
+                                                             key)
                 module = self.ast_store.module_for(key)
             except (OSError, PhpSyntaxError):
                 program = None

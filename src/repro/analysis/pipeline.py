@@ -50,14 +50,15 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from repro.exceptions import PhpSyntaxError
-from repro.php import Parser, ast, parse_with_recovery, tokenize
-from repro.php.ast_store import AstCache, AstStore, PackFile
+from repro.php import Parser, ast, tokenize
+from repro.php.ast_store import AstCache, AstStore, PackFile, read_source
 from repro.analysis.detector import PHP_EXTENSIONS, FileResult
 from repro.analysis.engine import TaintEngine
 from repro.analysis.includes import (
     IncludeContext,
     IncludeGraph,
     build_include_graph,
+    derive_facts,
 )
 from repro.analysis.summaries import SummaryCache
 from repro.analysis.model import (
@@ -74,11 +75,14 @@ from repro.analysis.prefilter import (
 from repro.ir.opcodes import OPNAMES
 from repro.obs.log import NULL_LOG, JsonlLogger, new_run_id
 from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry.stats import IncludeStats
 
 #: bump when the cached payload layout or engine semantics change.
 #: 3: cache keys and stored paths are project-relative (a moved or
 #: renamed checkout keeps hitting and reports correct file paths).
-CACHE_FORMAT = 3
+#: 4: include graphs from token facts (an uppercase keyword used to
+#: lose its edge) and PHP octal literals (``0755`` was a worker error).
+CACHE_FORMAT = 4
 
 #: parse_error text for a file that repeatedly kills analysis workers.
 CRASH_ERROR = "analysis worker crashed"
@@ -233,23 +237,21 @@ class FusedDetector:
         """
         store = self.ast_store
         key = store.source_key(source)
-        entry = store.lookup(key)
-        if entry is not None:
+        if not self.telemetry.enabled:
+            program, warnings = store.parse_recovering(source, filename,
+                                                       key)
+        elif (entry := store.lookup(key)) is not None:
             program, warnings = store.materialize(entry, filename)
-        elif not self.telemetry.enabled:
-            try:
-                program, warnings = parse_with_recovery(source, filename)
-            except PhpSyntaxError as exc:
-                store.store_error(key, exc)
-                raise
-            store.store(key, program, warnings)  # lowers to IR inside
         else:
             # traced variant of AstStore.parse_recovering: lex, parse and
-            # lower keep their own spans; a store hit skips all three
+            # lower keep their own spans; a store hit skips all three,
+            # and tokens the include resolver lexed skip the lex
             tracer = self.telemetry.tracer
             try:
-                with tracer.span("lex", phase="lex", file=filename):
-                    tokens = tokenize(source, filename)
+                tokens = store.take_tokens(key)
+                if tokens is None:
+                    with tracer.span("lex", phase="lex", file=filename):
+                        tokens = tokenize(source, filename)
                 with tracer.span("parse", phase="parse",
                                  file=filename):
                     parser = Parser(tokens, filename, recover=True)
@@ -292,8 +294,8 @@ class FusedDetector:
         start = time.perf_counter()
         result = FileResult(filename=path)
         try:
-            with open(path, encoding="utf-8", errors="replace") as f:
-                source = f.read()
+            with open(path, "rb") as f:
+                source = read_source(f.read())
         except OSError as exc:
             result.parse_error = str(exc)
             result.seconds = time.perf_counter() - start
@@ -756,8 +758,8 @@ class ScanScheduler:
         self.summary_cache = SummaryCache(self.summary_cache_dir,
                                           self.fingerprint) \
             if self.summary_cache_dir else None
-        #: the scan's shared parse memo: include resolution and the
-        #: ``jobs=1`` scan phase parse each unique content exactly once.
+        #: the scan's shared frontend memo: include facts, the include
+        #: resolver's AST fallback and the ``jobs=1`` scan phase.
         self.ast_store = AstStore(
             disk=self.ast_cache,
             metrics=self.telemetry.metrics
@@ -774,6 +776,8 @@ class ScanScheduler:
         self.prefilter_stats = None
         #: the resolved include graph of the last scan (telemetry + tests).
         self.include_graph: IncludeGraph | None = None
+        #: include-fact work of the last scan (None without includes).
+        self.include_stats: IncludeStats | None = None
         #: (file, exception class) for files retried in isolation after a
         #: worker died mid-chunk — never silent (satellite of ISSUE 2).
         self.retries: list[tuple[str, str]] = []
@@ -828,49 +832,61 @@ class ScanScheduler:
                      includes=self.includes,
                      fingerprint=self.fingerprint[:12])
         raw_hashes: dict[str, str] = {}
-        sources: dict[str, str] = {}
         verdicts: dict[str, tuple[bool, bool]] = {}
         line_counts: dict[str, int] = {}
-        if self.cache is not None or self.prefilter is not None:
-            for path in paths:
-                try:
-                    with open(path, "rb") as f:
-                        raw = f.read()
-                except OSError:
-                    continue  # surfaces as a per-file read error below
-                raw_hashes[path] = ResultCache.content_hash(raw)
-                if self.prefilter is not None:
-                    # classify from the bytes we already hold: skipped
-                    # files need their line count for the report (the
-                    # replacement-decoding below never changes it)
-                    verdicts[path] = self.prefilter.verdict(
-                        raw, raw_hashes[path])
-                    line_counts[path] = raw.count(b"\n") + 1
-                # hand the bytes we already read on to the include
-                # resolver — but only for files it could possibly parse
-                # (keyword present), so a large tree is not held in
-                # memory; the empty marker tells the resolver the file
-                # has no includes without a second disk read
-                if self.includes:
-                    if b"include" in raw or b"require" in raw:
-                        sources[path] = raw.decode("utf-8",
-                                                   errors="replace")
-                    else:
-                        sources[path] = ""
+        store = self.ast_store
+        work0 = (store.include_lexes, store.include_fallbacks,
+                 store.include_fact_hits)
+        # include facts come from the bytes read for hashing — unless they
+        # could not outlive this scan (no AST tier) while a cached graph
+        # blob may make them unnecessary: then the resolver reads files
+        # itself, and only on a blob miss
+        facts: dict | None = {} \
+            if self.includes and (self.ast_cache is not None
+                                  or self.cache is None) else None
+        # at jobs=1 the scan-phase parse of a (sink, source) file reuses
+        # the tokens lexed for its facts
+        keep = self.jobs == 1 and self.prefilter is not None
+        lex_tracer = telemetry.tracer if telemetry.enabled else None
+        if self.cache is not None or self.prefilter is not None \
+                or self.includes:
+            with telemetry.tracer.span("read", phase="read",
+                                       files=len(paths)):
+                for path in paths:
+                    try:
+                        with open(path, "rb") as f:
+                            raw = f.read()
+                    except OSError:
+                        continue  # surfaces as a per-file read error
+                    digest = raw_hashes[path] = \
+                        ResultCache.content_hash(raw)
+                    verdict = None
+                    if self.prefilter is not None:
+                        # skipped files need their line count for the
+                        # report (decoding never changes it)
+                        verdict = verdicts[path] = \
+                            self.prefilter.verdict(raw, digest)
+                        line_counts[path] = raw.count(b"\n") + 1
+                    if facts is not None:
+                        facts[path] = derive_facts(
+                            store, raw, digest, path,
+                            keep_tokens=keep and verdict == (True, True),
+                            tracer=lex_tracer)
         if self.includes:
             with telemetry.tracer.span("resolve_includes", phase="link",
                                        files=len(paths)):
                 self.include_graph = self._resolve_graph(paths, raw_hashes,
-                                                         sources)
-            sources = {}
+                                                         facts)
             # cross-file context is memoized per graph: a fresh graph
             # (file contents may have changed) needs a fresh detector
             self._detector = None
-            if self.jobs != 1:
-                # make the resolve phase's parses visible to the workers
-                self.ast_store.flush()
+            self.include_stats = IncludeStats(
+                files_lexed=store.include_lexes - work0[0],
+                fallback_parses=store.include_fallbacks - work0[1],
+                facts_hits=store.include_fact_hits - work0[2])
         else:
             self.include_graph = None
+            self.include_stats = None
         tiers: dict[str, str] | None = None
         if self.prefilter is not None:
             with telemetry.tracer.span("prefilter", phase="prefilter",
@@ -890,9 +906,10 @@ class ScanScheduler:
             # detector (workers flush theirs before each chunk drain)
             if self._detector is not None:
                 self._detector.flush_opcode_profile()
+            store.drop_tokens()  # held tokens of files never parsed
             # one atomic pack rewrite per tier instead of thousands of
             # tiny per-entry files — see PackFile
-            self.ast_store.flush()
+            store.flush()
             if self.summary_cache is not None:
                 self.summary_cache.flush()
             if self.cache is not None:
@@ -913,6 +930,9 @@ class ScanScheduler:
                     sum(self.include_graph.resolved.values()))
                 metrics.counter("includes_unresolved").inc(
                     sum(self.include_graph.unresolved.values()))
+            if self.include_stats is not None:
+                for name, value in self.include_stats.to_dict().items():
+                    metrics.counter(f"include_{name}").inc(value)
             if self.cache is not None:
                 metrics.gauge("cache_hits").set(self.cache.hits)
                 metrics.gauge("cache_misses").set(self.cache.misses)
@@ -950,15 +970,12 @@ class ScanScheduler:
 
     def _resolve_graph(self, paths: list[str],
                        raw_hashes: dict[str, str],
-                       sources: dict[str, str] | None = None
-                       ) -> IncludeGraph:
+                       facts: dict | None = None) -> IncludeGraph:
         """The project include graph, served from cache when unchanged.
 
-        Building the graph parses every file that textually mentions an
-        include, which would dominate an otherwise fully-cached re-scan;
-        the finished graph is therefore stored as a cache blob keyed by
-        the content hashes of ALL scanned files (any edit, add or remove
-        rebuilds it from scratch).
+        The finished graph is stored as a cache blob keyed by the content
+        hashes of ALL scanned files (any edit, add or remove rebuilds it
+        from the per-file include facts).
         """
         key = None
         if self.cache is not None and len(raw_hashes) == len(paths):
@@ -969,8 +986,9 @@ class ScanScheduler:
             cached = self.cache.get_blob(key)
             if isinstance(cached, IncludeGraph):
                 return cached
-        graph = build_include_graph(paths, sources=sources,
-                                    ast_store=self.ast_store)
+        graph = build_include_graph(paths, facts=facts,
+                                    ast_store=self.ast_store,
+                                    hashes=raw_hashes)
         if key is not None:
             self.cache.put_blob(key, graph)
         return graph

@@ -68,6 +68,7 @@ from repro.analysis.prefilter import (
 from repro.analysis.summaries import SummaryCache
 from repro.php.ast_store import AstCache, AstStore
 from repro.telemetry import CacheStats, build_scan_stats
+from repro.telemetry.stats import IncludeStats
 from repro.tool.report import AnalysisReport
 
 
@@ -184,6 +185,10 @@ class Scanner:
         #: knowledge fingerprint; a fingerprint change cold-scans and
         #: the stale hashes simply stop being looked up)
         self._prefilter_memo: dict[str, tuple[bool, bool]] = {}
+        #: include facts carried across scan cycles, keyed by content
+        #: hash (knowledge-independent): a changed file set re-resolves
+        #: every file without re-lexing the unchanged ones
+        self._facts_memo: dict = {}
         #: cumulative prefilter tier counts across every scan served by
         #: this scanner (the ``/v1/status`` "prefilter" block); guarded
         #: by ``_lock``
@@ -333,6 +338,7 @@ class Scanner:
             # the first warm re-scan then classifies without re-reading
             # unchanged files
             self._prefilter_memo.update(scheduler.prefilter.memo)
+        self._facts_memo.update(scheduler.ast_store.facts_memo)
         self._note_prefilter(report.prefilter)
         raw_hashes = {p: snapshot[p][2] for p in paths}
         graph = scheduler.include_graph
@@ -373,11 +379,11 @@ class Scanner:
             prev_snapshot = state.snapshot
             dirty = [p for p in paths
                      if prev_snapshot.get(p, _MISSING)[2] != snapshot[p][2]]
+            raw_hashes = {p: snapshot[p][2] for p in paths}
             with telem.tracer.span("resolve_includes", phase="link",
                                    files=len(paths), dirty=len(dirty)):
-                graph = self._updated_graph(state, paths, dirty,
-                                            prev_snapshot)
-            raw_hashes = {p: snapshot[p][2] for p in paths}
+                graph, report.includes = self._updated_graph(
+                    state, paths, dirty, prev_snapshot, raw_hashes)
             keys = {p: closure_key(p, snapshot[p][2], graph, raw_hashes)
                     for p in paths}
             to_run = [p for p in paths
@@ -488,19 +494,31 @@ class Scanner:
             seconds=time.perf_counter() - start)
 
     def _updated_graph(self, state: _RootState, paths: list[str],
-                       dirty: list[str],
-                       prev_snapshot: dict) -> IncludeGraph | None:
-        """The include graph for this scan, patched incrementally.
+                       dirty: list[str], prev_snapshot: dict,
+                       hashes: dict[str, str]
+                       ) -> tuple[IncludeGraph | None, IncludeStats | None]:
+        """The include graph for this scan, patched incrementally, and the
+        include-fact work it took.
 
-        Content-only edits re-resolve just the dirty files; any change to
-        the file *set* rebuilds from scratch (a new file can steal a
-        unique-basename resolution from an untouched one).
+        Content-only edits re-derive just the dirty files' facts; any
+        change to the file *set* re-resolves every file (a new file can
+        steal a unique-basename resolution from an untouched one), with
+        unchanged files' facts served by content hash.
         """
         if not self.options.includes:
-            return None
+            return None, None
+        # the memo the cold scan seeded is the facts tier here: an edit
+        # costs one file's lex, not a rewrite of the on-disk facts pack
+        store = AstStore(facts=self._facts_memo)
         if set(paths) != set(prev_snapshot):
-            return build_include_graph(paths)
-        if not dirty:
-            return state.graph
-        return update_include_graph(state.graph or IncludeGraph(),
-                                    paths, dirty)
+            graph = build_include_graph(paths, ast_store=store,
+                                        hashes=hashes)
+        elif dirty:
+            graph = update_include_graph(state.graph or IncludeGraph(),
+                                         paths, dirty, ast_store=store,
+                                         hashes=hashes)
+        else:
+            graph = state.graph
+        return graph, IncludeStats(files_lexed=store.include_lexes,
+                                   fallback_parses=store.include_fallbacks,
+                                   facts_hits=store.include_fact_hits)

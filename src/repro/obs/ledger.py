@@ -128,6 +128,7 @@ def build_record(report, run_id: str, fingerprint: str,
     fingerprints = report_fingerprints(report.to_dict())
     # like the result cache, prefilter counts are telemetry-independent
     prefilter = getattr(report, "prefilter", None)
+    includes = getattr(report, "includes", None)
     return {
         "version": LEDGER_VERSION,
         "run_id": run_id,
@@ -151,6 +152,7 @@ def build_record(report, run_id: str, fingerprint: str,
         "caches": caches,
         "prefilter": prefilter.to_dict() if prefilter is not None
         else None,
+        "includes": includes.to_dict() if includes is not None else None,
         "findings": {"count": len(outcomes),
                      "digest": findings_digest(outcomes, fingerprints)},
     }

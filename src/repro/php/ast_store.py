@@ -1,14 +1,13 @@
 """Parse-once frontend: shared AST store with an optional on-disk cache.
 
-A scan used to parse most files twice: once while resolving includes
-(:class:`repro.analysis.includes.IncludeResolver` walks every file that
-textually mentions ``include``/``require``) and again in the scan phase
-(:meth:`repro.analysis.pipeline.FusedDetector.detect_source_recovering`),
-with :class:`repro.analysis.includes.IncludeContext` adding a third parse
-for dependency files.  :class:`AstStore` removes the duplication: every
-frontend consumer asks the store, which memoizes parse results keyed by a
-content hash of the source text, so each unique content is lexed and
-parsed exactly once per process.
+Every frontend consumer of a scan — the include context, the fused
+detector and the include resolver's AST fallback — asks one
+:class:`AstStore`, which memoizes parse results keyed by a content hash
+of the source text, so each unique content is lexed and parsed at most
+once per process.  The include resolver itself parses almost nothing: it
+reads edges off the token stream (:mod:`repro.analysis.includes`) and
+only the few files its token folder cannot decide take the AST fold, so
+the scan phase parses only the files the prefilter keeps.
 
 Parse results are content-addressed, not path-addressed: two identical
 files share one entry, and cached syntax errors/warnings are re-attributed
@@ -20,7 +19,10 @@ keyed, format-versioned via :data:`AST_FORMAT` the way ``ResultCache``
 uses the knowledge fingerprint), so incremental re-scans of a dirty
 include closure stop re-lexing unchanged includer files.  Corrupt entries
 are evicted on the miss that discovers them; writes are atomic
-(temp + rename).
+(temp + rename).  Beside the AST pack the tier keeps each file's
+*include facts* (:meth:`AstStore.get_facts`), keyed by the hash of the
+file's raw bytes: they are knowledge-independent, so dropping the
+result tier never forces a re-lex.
 
 Since format 2, every successful entry also carries the file's lowered
 :class:`~repro.ir.opcodes.IRModule`: :meth:`AstStore.store` lowers
@@ -55,10 +57,12 @@ from repro.php.ast_nodes import Program
 from repro.php.parser import parse_with_recovery
 
 #: bump whenever the token stream, grammar, AST node layout, entry
-#: layout, or the IR instruction set (:data:`repro.ir.opcodes.IR_FORMAT`)
-#: changes — pickled programs/modules from an older frontend must never
-#: be served.  2: entries grew a fourth slot, the lowered IR module.
-AST_FORMAT = 2
+#: layout, the IR instruction set (:data:`repro.ir.opcodes.IR_FORMAT`)
+#: or the include-fact folder changes — pickled programs/modules/facts
+#: from an older frontend must never be served.  2: entries grew a
+#: fourth slot, the lowered IR module.  3: PHP integer literals (octal,
+#: ``0o``, ``_``) and the include-facts pack.
+AST_FORMAT = 3
 
 #: (message, line, col) triples: enough to rebuild a PhpSyntaxError
 #: against whatever filename the current request used.
@@ -73,6 +77,14 @@ _Entry = tuple[Program | None, tuple[_ErrorSpec, ...], _ErrorSpec | None,
 
 def _spec_of(exc: PhpSyntaxError) -> _ErrorSpec:
     return (exc.message, exc.line, exc.col)
+
+
+def read_source(raw: bytes) -> str:
+    """Decode a file's bytes exactly as a text-mode ``open`` does (UTF-8
+    with replacement, universal newlines), so text decoded from bytes
+    already read for hashing keys the same store entries."""
+    return raw.decode("utf-8", errors="replace") \
+        .replace("\r\n", "\n").replace("\r", "\n")
 
 
 class PackFile:
@@ -184,6 +196,8 @@ class AstCache:
         self.directory = os.path.join(directory, f"ast-v{AST_FORMAT}")
         os.makedirs(self.directory, exist_ok=True)
         self.pack = PackFile(os.path.join(self.directory, "pack.pkl"))
+        #: include facts (see :meth:`AstStore.get_facts`), raw-hash keyed
+        self.facts = PackFile(os.path.join(self.directory, "facts.pkl"))
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -240,9 +254,29 @@ class AstCache:
         self.pack.put(key, blob)
         self.puts += 1
 
+    def get_facts(self, key: str):
+        """Stored include facts for raw hash *key*, or None (corrupt or
+        foreign entries are evicted)."""
+        blob = self.facts.get(key)
+        if blob is None:
+            return None
+        try:
+            facts = pickle.loads(blob)
+        except Exception:
+            facts = None
+        if not isinstance(facts, tuple):
+            self.facts.discard(key)
+            return None
+        return facts
+
+    def put_facts(self, key: str, facts) -> None:
+        self.facts.put(key, pickle.dumps(facts,
+                                         protocol=pickle.HIGHEST_PROTOCOL))
+
     def flush(self) -> None:
-        """Persist buffered puts (one atomic pack rewrite)."""
+        """Persist buffered puts (one atomic rewrite per pack)."""
         self.pack.flush()
+        self.facts.flush()
 
 
 class AstStore:
@@ -256,10 +290,13 @@ class AstStore:
         disk: optional :class:`AstCache` second tier.
         metrics: optional ``Metrics``-shaped counter sink (kept
             duck-typed to avoid importing the telemetry layer).
+        facts: optional externally-owned ``{raw hash: include facts}``
+            memo, letting a warm :class:`~repro.api.Scanner` keep facts
+            across scan cycles.
     """
 
     def __init__(self, disk: AstCache | None = None,
-                 metrics=None) -> None:
+                 metrics=None, facts: dict | None = None) -> None:
         self._memory: dict[str, _Entry] = {}
         self.disk = disk
         self.metrics = metrics
@@ -267,6 +304,16 @@ class AstStore:
         self.reparse_avoided = 0  # requests served from the in-memory memo
         self.disk_hits = 0        # requests served from the on-disk cache
         self.lower_seconds = 0.0  # cumulative AST -> IR lowering time
+        self.facts_memo: dict = facts if facts is not None else {}
+        #: include-fact work (filled by :mod:`repro.analysis.includes`):
+        #: files lexed by the token folder, files it sent to the AST
+        #: fold, and facts served from the memo or the disk tier
+        self.include_lexes = 0
+        self.include_fallbacks = 0
+        self.include_fact_hits = 0
+        #: store key -> token list lexed ahead of the parse (see
+        #: :meth:`keep_tokens`)
+        self._tokens: dict[str, list] = {}
 
     @staticmethod
     def source_key(source: str) -> str:
@@ -345,6 +392,37 @@ class AstStore:
         if self.disk is not None:
             self.disk.flush()
 
+    # ------------------------------------------------------------------
+    # include facts and tokens lexed ahead of the parse
+    # ------------------------------------------------------------------
+    def get_facts(self, key: str):
+        """The include facts memoized for raw hash *key*, or None."""
+        facts = self.facts_memo.get(key)
+        if facts is None and self.disk is not None:
+            facts = self.disk.get_facts(key)
+            if facts is not None:
+                self.facts_memo[key] = facts
+        if facts is not None:
+            self.include_fact_hits += 1
+        return facts
+
+    def put_facts(self, key: str, facts) -> None:
+        self.facts_memo[key] = facts
+        if self.disk is not None:
+            self.disk.put_facts(key, facts)
+
+    def keep_tokens(self, key: str, tokens: list) -> None:
+        """Hold *tokens* for the next parse of content *key*."""
+        self._tokens[key] = tokens
+
+    def take_tokens(self, key: str) -> list | None:
+        """The held token list of content *key* (released), or None."""
+        return self._tokens.pop(key, None)
+
+    def drop_tokens(self) -> None:
+        """Release every held token list (the scan phase is over)."""
+        self._tokens.clear()
+
     def module_for(self, key: str):
         """The lowered IR module memoized for *key*, or ``None``.
 
@@ -373,19 +451,25 @@ class AstStore:
     # ------------------------------------------------------------------
     # the all-in-one path
     # ------------------------------------------------------------------
-    def parse_recovering(self, source: str, filename: str = "<source>"
+    def parse_recovering(self, source: str, filename: str = "<source>",
+                         key: str | None = None
                          ) -> tuple[Program, list[PhpSyntaxError]]:
         """Memoized :func:`repro.php.parser.parse_with_recovery`.
 
         Same contract: returns ``(program, warnings)`` and raises
         :class:`PhpSyntaxError` when nothing was salvageable — including
-        on cache hits for sources that previously failed.
+        on cache hits for sources that previously failed.  *key* is
+        ``source_key(source)`` when the caller already computed it; a
+        token list held for that content (:meth:`keep_tokens`) is parsed
+        instead of lexing again.
         """
-        key = self.source_key(source)
+        if key is None:
+            key = self.source_key(source)
         entry = self.lookup(key)
         if entry is None:
             try:
-                program, warnings = parse_with_recovery(source, filename)
+                program, warnings = parse_with_recovery(
+                    source, filename, tokens=self.take_tokens(key))
             except PhpSyntaxError as exc:
                 self.store_error(key, exc)
                 raise

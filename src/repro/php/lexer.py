@@ -27,19 +27,8 @@ from functools import lru_cache
 from repro.exceptions import PhpSyntaxError
 from repro.php.tokens import CAST_TYPES, KEYWORDS, Token, TokenType
 
-_IDENT_START = re.compile(r"[A-Za-z_\x80-\xff]")
-_IDENT_RE = re.compile(r"[A-Za-z_\x80-\xff][A-Za-z0-9_\x80-\xff]*")
-_HEX_RE = re.compile(r"0[xX][0-9a-fA-F]+")
-_OCT_RE = re.compile(r"0[oO]?[0-7]+")
-_BIN_RE = re.compile(r"0[bB][01]+")
-_NUM_RE = re.compile(
-    r"(\d[\d_]*\.\d[\d_]*([eE][+-]?\d+)?)"   # 1.5, 1.5e3
-    r"|(\.\d[\d_]*([eE][+-]?\d+)?)"          # .5
-    r"|(\d[\d_]*\.(?!\.)([eE][+-]?\d+)?)"    # 1.  (but not 1..)
-    r"|(\d[\d_]*[eE][+-]?\d+)"               # 1e3
-    r"|(\d[\d_]*)"                           # 42
-)
-_CAST_RE = re.compile(r"\(\s*([A-Za-z]+)\s*\)")
+#: integer literal prefixes that select a radix (hex digits include "e")
+_RADIX_PREFIXES = frozenset(("0x", "0X", "0b", "0B", "0o", "0O"))
 _HEREDOC_OPEN_RE = re.compile(
     r"<<<[ \t]*(?:\"(?P<nowq>[A-Za-z_][A-Za-z0-9_]*)\""
     r"|'(?P<now>[A-Za-z_][A-Za-z0-9_]*)'"
@@ -139,7 +128,8 @@ _MASTER_RE = re.compile(
     r"|[A-Za-z_][A-Za-z0-9_]*)\r?\n)"
     r"|(?P<var>\$[A-Za-z_\x80-\xff][A-Za-z0-9_\x80-\xff]*)"
     r"|(?P<name>[A-Za-z_\x80-\xff][A-Za-z0-9_\x80-\xff]*)"
-    r"|(?P<num>0[xX][0-9a-fA-F]+|0[bB][01]+"
+    r"|(?P<num>0[xX][0-9a-fA-F]+(?:_[0-9a-fA-F]+)*|0[bB][01]+(?:_[01]+)*"
+    r"|0[oO][0-7]+(?:_[0-7]+)*"
     r"|\d[\d_]*\.\d[\d_]*(?:[eE][+-]?\d+)?"
     r"|\.\d[\d_]*(?:[eE][+-]?\d+)?"
     r"|\d[\d_]*\.(?!\.)(?:[eE][+-]?\d+)?"
@@ -321,8 +311,7 @@ class Lexer:
                 text = m.group()
                 line, col = loc(pos)
                 prefix = text[:2]
-                if prefix == "0x" or prefix == "0X" \
-                        or prefix == "0b" or prefix == "0B":
+                if prefix in _RADIX_PREFIXES:
                     type_ = TokenType.INT
                 elif "." in text or "e" in text or "E" in text:
                     type_ = TokenType.FLOAT

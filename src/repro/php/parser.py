@@ -119,6 +119,23 @@ class Parser:
                 tok.line, tok.col, self.filename)
         return self._advance()
 
+    def _int_literal(self, tok: Token) -> int:
+        """Decode an INT token with PHP semantics: ``0x``/``0b``/``0o``
+        prefixes, leading-zero octal (``0755``) and ``_`` separators.
+        ``08`` is a syntax error in PHP, and so it is here."""
+        digits = tok.value.replace("_", "")
+        base = 10
+        if digits[:2].lower() in ("0x", "0b", "0o"):
+            base = {"x": 16, "b": 2, "o": 8}[digits[1].lower()]
+            digits = digits[2:]
+        elif len(digits) > 1 and digits[0] == "0":
+            base = 8
+        try:
+            return int(digits, base)
+        except ValueError:
+            raise PhpSyntaxError(f"invalid numeric literal {tok.value!r}",
+                                 tok.line, tok.col, self.filename) from None
+
     def _error(self, message: str) -> PhpSyntaxError:
         tok = self._peek()
         return PhpSyntaxError(message, tok.line, tok.col, self.filename)
@@ -232,7 +249,7 @@ class Parser:
             level = 1
             num = self._accept(T.INT)
             if num:
-                level = int(num.value, 0)
+                level = self._int_literal(num)
             self._expect_semi()
             cls = ast.Break if tt is T.KW_BREAK else ast.Continue
             return cls(level, line=tok.line, col=tok.col)
@@ -1060,8 +1077,8 @@ class Parser:
             return ast.VariableVariable(inner, line=tok.line, col=tok.col)
         if tt is T.INT:
             self._advance()
-            text = tok.value.replace("_", "")
-            return ast.Literal(int(text, 0), "int", line=tok.line, col=tok.col)
+            return ast.Literal(self._int_literal(tok), "int",
+                               line=tok.line, col=tok.col)
         if tt is T.FLOAT:
             self._advance()
             return ast.Literal(float(tok.value.replace("_", "")), "float",
@@ -1469,15 +1486,19 @@ def parse(source: str, filename: str = "<source>") -> ast.Program:
 
 def parse_with_recovery(
         source: str,
-        filename: str = "<source>") -> tuple[ast.Program,
-                                             list[PhpSyntaxError]]:
+        filename: str = "<source>",
+        tokens: list[Token] | None = None) -> tuple[ast.Program,
+                                                    list[PhpSyntaxError]]:
     """Parse *source* with statement-level error recovery.
 
     Returns the program plus the syntax errors that were skipped over
     (one per damaged statement).  Lexer errors and files with more than
     :attr:`Parser.MAX_WARNINGS` damaged statements still raise
     :class:`PhpSyntaxError` — those files are genuinely unparseable.
+    *tokens*, when the caller already lexed *source*, are parsed as is.
     """
-    parser = Parser(tokenize(source, filename), filename, recover=True)
+    if tokens is None:
+        tokens = tokenize(source, filename)
+    parser = Parser(tokens, filename, recover=True)
     program = parser.parse_program()
     return program, list(parser.warnings)

@@ -79,6 +79,32 @@ class PrefilterStats:
                 "skip_rate": round(self.skip_rate, 4)}
 
 
+@dataclass(frozen=True)
+class IncludeStats:
+    """Include-resolution work for one scan (telemetry-independent).
+
+    ``files_lexed`` files were lexed by the token-level include folder,
+    ``fallback_parses`` of them needed the AST fold, and ``facts_hits``
+    files had their include facts served by content hash (memo or the
+    AST tier) instead of derived.
+    """
+
+    files_lexed: int = 0
+    fallback_parses: int = 0
+    facts_hits: int = 0
+
+    def to_dict(self) -> dict:
+        return {"files_lexed": self.files_lexed,
+                "fallback_parses": self.fallback_parses,
+                "facts_hits": self.facts_hits}
+
+    def render(self) -> str:
+        """The ``--stats`` footer line."""
+        return (f"   include facts: {self.files_lexed} lexed, "
+                f"{self.fallback_parses} AST fallbacks, "
+                f"{self.facts_hits} served by content hash")
+
+
 @dataclass
 class ScanStats:
     """Everything the ``--stats`` footer shows, in structured form."""
@@ -119,6 +145,8 @@ class ScanStats:
     predicted_fp: int = 0
     #: relevance-prefilter tier counts (None when the prefilter was off).
     prefilter: PrefilterStats | None = None
+    #: include-resolution work (None when includes were off).
+    includes: IncludeStats | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -173,6 +201,8 @@ class ScanStats:
             "predictor_fp_rate": round(self.fp_rate, 4),
             "prefilter": self.prefilter.to_dict()
             if self.prefilter is not None else None,
+            "includes": self.includes.to_dict()
+            if self.includes is not None else None,
         }
 
     # ------------------------------------------------------------------
@@ -253,6 +283,8 @@ class ScanStats:
             lines.append(
                 f"   includes: {self.resolved_includes} resolved, "
                 f"{self.unresolved_includes} unresolved")
+        if self.includes is not None:
+            lines.append(self.includes.render())
         lines.append(
             f"   candidates: {self.candidates}   predicted FPs: "
             f"{self.predicted_fp} "
@@ -315,6 +347,7 @@ def build_scan_stats(report, telemetry, root_span=None,
     stats.worker_retries = list(retries)
     stats.worker_crashes = list(crashes)
     stats.prefilter = getattr(report, "prefilter", None)
+    stats.includes = getattr(report, "includes", None)
     failed = [f for f in report.files if f.parse_error]
     stats.parse_errors = len(failed)
     if failed:

@@ -22,7 +22,12 @@ from dataclasses import dataclass, field
 from repro.analysis.model import CandidateVulnerability
 from repro.exceptions import ReportSchemaError
 from repro.mining.predictor import Prediction
-from repro.telemetry.stats import CacheStats, PrefilterStats, ScanStats
+from repro.telemetry.stats import (
+    CacheStats,
+    IncludeStats,
+    PrefilterStats,
+    ScanStats,
+)
 
 #: current JSON report schema (``docs/report-schema.md``).  Version 1 is
 #: the historical ad-hoc dict emitted before the schema was versioned;
@@ -318,6 +323,10 @@ class AnalysisReport:
     #: so the report JSON stays identical with it on or off (the counts
     #: surface through ``--stats``, the run ledger and ``/v1/status``).
     prefilter: PrefilterStats | None = None
+    #: include-resolution work; populated whenever includes were
+    #: resolved, independently of telemetry, and (like ``prefilter``)
+    #: not part of :meth:`to_dict`.
+    includes: IncludeStats | None = None
     #: full scan statistics; populated only when telemetry is enabled.
     stats: ScanStats | None = None
 
@@ -487,6 +496,8 @@ class AnalysisReport:
                 f"{self.prefilter.dep_only} dep-only, "
                 f"{self.prefilter.sink_bearing} sink-bearing "
                 f"(skip rate {self.prefilter.skip_rate * 100:.1f}%)")
+        if self.includes is not None:
+            lines.append(self.includes.render())
         if not lines:
             return ""
         return "\n".join(["== scan statistics"] + lines)

@@ -202,6 +202,7 @@ class _BaseTool:
                                       scheduler.cache.evictions,
                                       scheduler.cache.puts)
         report.prefilter = scheduler.prefilter_stats
+        report.includes = scheduler.include_stats
         if telem.enabled:
             telem.metrics.counter("predictor_memo_hits").inc(
                 predictor.memo_hits - memo0[0])

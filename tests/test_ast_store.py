@@ -195,10 +195,11 @@ class TestPipelineParseOnce:
 
         unique_contents = 3  # lib == copy byte-for-byte
         assert len(calls) == unique_contents, calls
-        # resolve_includes parsed 4 files; 3 of those parses were then
-        # avoided again by the scan phase (and one by the dup content)
+        # include resolution lexed the two includers and parsed nothing:
+        # every parse above is the scan phase's or its include context's
         counters = telemetry.metrics.counters
-        assert counters["frontend_reparse_avoided"].value >= 4
+        assert counters["include_files_lexed"].value == 2
+        assert counters["include_fallback_parses"].value == 0
 
     def test_scan_store_serves_include_dependencies(self, tmp_path,
                                                     monkeypatch):
