@@ -5,7 +5,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-fast test-grammar test-ir test-service test-fleet \
-	bench bench-smoke bench-throughput bench-frontend bench-check \
+	test-perfbench bench bench-smoke bench-throughput bench-frontend bench-check \
 	trace-demo serve-demo watch-demo baseline-demo baseline-check
 
 # tier-1: the full suite, exactly what CI runs
@@ -26,11 +26,13 @@ test-grammar:
 		tests/test_php_modern_syntax.py tests/test_php_grammar_corpus.py
 
 # the taint IR: lowering unit tests, the differential oracle against
-# the reference AST walker, and the compositional summary-cache tier
-# (all part of the fast suite; this target is the focused loop)
+# the reference AST walker, the compositional summary cache and the
+# on-disk store behind it (all part of the fast suite; this target is
+# the focused loop)
 test-ir:
 	$(PYTHON) -m pytest -x -q tests/test_ir.py tests/test_ir_oracle.py \
-		tests/test_summary_cache.py tests/test_ast_store.py
+		tests/test_summary_cache.py tests/test_ast_store.py \
+		tests/test_store.py
 
 # the embedding API, scan daemon, and report-schema suites (includes
 # the slow daemon-vs-CLI oracle and the `wape serve` subprocess test)
@@ -42,6 +44,11 @@ test-service:
 # sticky routing, crash supervision, NDJSON streaming, LRU eviction
 test-fleet:
 	$(PYTHON) -m pytest -x -q tests/test_fleet.py tests/test_service.py
+
+# the benchmark's self-tests (smoke-size runs of its workloads) plus the
+# check that every layer its tracer wraps still exists in the program
+test-perfbench:
+	$(PYTHON) -m pytest -x -q perfbench/tests tests/test_perfbench_targets.py
 
 # every paper table/figure benchmark
 bench:

@@ -7,9 +7,9 @@ predictor — over the synthesized corpus:
 * **parse**: ``Parser.parse_program()`` over every token stream,
   AST nodes/sec (counted with :func:`repro.php.count_nodes`).
 * **cold vs AST-cache-warm**: :meth:`repro.php.AstStore.parse_recovering`
-  through an empty on-disk :class:`repro.php.AstCache`, then again
-  through a fresh store backed by the now-populated cache directory —
-  the warm pass must serve every file from disk without re-parsing.
+  over an empty on-disk :class:`repro.php.Store`, then again through a
+  fresh store backed by the now-populated cache directory — the warm
+  pass must serve every file from disk without re-parsing.
 
 Results land in ``BENCH_frontend.json`` at the repository root so the
 frontend's performance trajectory is tracked PR over PR.
@@ -63,7 +63,7 @@ def _corpus_sources(root: str, smoke: bool) -> list[tuple[str, str]]:
 def run_benchmark(smoke: bool = False) -> dict:
     from repro.exceptions import PhpSyntaxError
     from repro.php import Parser, count_nodes, tokenize
-    from repro.php.ast_store import AstCache, AstStore
+    from repro.php.ast_store import AstStore, Store
 
     with tempfile.TemporaryDirectory(prefix="bench-frontend-") as workdir:
         corpus_root = os.path.join(workdir, "corpus")
@@ -92,7 +92,8 @@ def run_benchmark(smoke: bool = False) -> dict:
         cache_dir = os.path.join(workdir, "cache")
 
         def _store_pass() -> tuple[float, AstStore]:
-            store = AstStore(disk=AstCache(cache_dir))
+            # the AST kind is knowledge-independent: any fingerprint
+            store = AstStore(disk=Store(cache_dir, "frontend"))
             start = time.perf_counter()
             for path, src in sources:
                 try:
@@ -101,7 +102,7 @@ def run_benchmark(smoke: bool = False) -> dict:
                     pass  # corpus may contain deliberately broken files
             # puts are buffered: the store contract is one flush per
             # scan (the scheduler and workers do the same)
-            store.flush()
+            store.disk.flush()
             return time.perf_counter() - start, store
 
         cold_seconds, cold_store = _store_pass()

@@ -164,10 +164,11 @@ def _bench_summary_warm(tool, workdir: str) -> dict:
     """Summary-warm cold scan: result cache gone, ``ast-v<N>/`` kept.
 
     Simulates the second machine / post-``git clean`` scan: the per-file
-    result cache misses on every file, but the AST + summary pack tiers
-    replay each dependency's (env, summaries) state instead of
-    re-executing its body.  ``summary_cache_miss == 0`` on the warm run
-    is the "no dependency body re-executed" witness.
+    result kind misses on every file, but the store's ``ast`` and
+    ``summary`` kinds replay each dependency's (env, summaries) state
+    instead of re-executing its body.  Zero ``summary`` misses in the
+    store's counts on the warm run is the "no dependency body
+    re-executed" witness.
     """
     from repro.analysis.options import ScanOptions
     from repro.telemetry import Telemetry
@@ -177,36 +178,29 @@ def _bench_summary_warm(tool, workdir: str) -> dict:
     cache_dir = os.path.join(workdir, "cache-summary")
 
     def scan():
-        telemetry = Telemetry()
         start = time.perf_counter()
         report = tool.analyze_tree(
             root, ScanOptions(jobs=1, cache_dir=cache_dir,
-                              telemetry=telemetry))
-        seconds = time.perf_counter() - start
-        counters = telemetry.metrics.counters
+                              telemetry=Telemetry()))
+        return time.perf_counter() - start, report
 
-        def count(name):
-            counter = counters.get(name)
-            return int(counter.value) if counter is not None else 0
+    cold_seconds, cold_report = scan()
+    cold_misses = cold_report.stats.summary_cache_misses
 
-        return seconds, report, count
-
-    cold_seconds, cold_report, cold_count = scan()
-    cold_misses = cold_count("summary_cache_miss")
-
-    # drop the result cache (fingerprint directories), keep ast-v<N>/
+    # drop the fingerprint-scoped pack (results, verdicts, graphs),
+    # keep ast-v<N>/
     import shutil
     for name in os.listdir(cache_dir):
         if not name.startswith("ast-v"):
             shutil.rmtree(os.path.join(cache_dir, name))
 
-    warm_seconds, warm_report, warm_count = scan()
+    warm_seconds, warm_report = scan()
     warm_keys = sorted(o.candidate.key() for o in warm_report.outcomes)
     cold_keys = sorted(o.candidate.key() for o in cold_report.outcomes)
     assert warm_keys == cold_keys, \
         "summary replay changed the candidate set"
-    hits = warm_count("summary_cache_hit")
-    misses = warm_count("summary_cache_miss")
+    hits = warm_report.stats.summary_cache_hits
+    misses = warm_report.stats.summary_cache_misses
     assert hits > 0, "summary-warm run never consulted the cache"
     assert misses == 0, \
         f"summary-warm run re-executed {misses} dependency bodies"

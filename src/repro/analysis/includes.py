@@ -8,10 +8,11 @@ must be observable at a sink in another when the files are linked by an
   target operand folded to a *template* (literal text split at every
   ``__DIR__`` / ``dirname(__FILE__)``, so the fact never embeds a path)
   or ``None`` for a dynamic target.  Facts depend only on the file's
-  bytes, so they are memoized and persisted by content hash in the AST
-  tier (:meth:`~repro.php.ast_store.AstStore.get_facts`).  They come
-  from a **token-level folder**: a file is lexed only when its bytes
-  mention an include keyword (any case), and nothing is parsed.  The
+  bytes, so they are memoized and persisted by content hash as the
+  store's ``facts`` kind (:meth:`~repro.php.ast_store.AstStore
+  .get_facts`).  They come from a **token-level folder**: a file is
+  lexed only when its bytes mention an include keyword (any case), and
+  nothing is parsed.  The
   folder decides exactly the forms the AST fold decides — quoted
   literals without interpolation or escapes, ``.``, grouping parens,
   ``__DIR__`` and ``dirname(__FILE__)`` — and a file with an operand it
@@ -34,9 +35,9 @@ must be observable at a sink in another when the files are linked by an
   is computed **once** — one ``analyze_with_state`` run per dependency
   yields both its exported env and its summaries — then composed into
   every includer, so analyzing ten files that include ``db.php`` runs
-  ``db.php``'s bodies once, not ten times.  With a
-  :class:`~repro.analysis.summaries.SummaryCache` attached, that state
-  additionally persists on disk keyed by content + closure + knowledge
+  ``db.php``'s bodies once, not ten times.  With an on-disk
+  :class:`~repro.php.ast_store.Store` attached, that state additionally
+  persists (its ``summary`` kind) keyed by content + closure + knowledge
   fingerprint, so a later process (worker, re-scan, daemon) composes
   cached summaries without re-executing dependency code at all.
 
@@ -53,7 +54,8 @@ from dataclasses import dataclass, field
 
 from repro.exceptions import PhpSyntaxError
 from repro.php import ast
-from repro.php.ast_store import AstStore, read_source
+from repro.analysis.summaries import SummaryCache
+from repro.php.ast_store import AstStore, Store, read_source
 from repro.php.lexer import tokenize
 from repro.php.tokens import TokenType as T
 
@@ -233,7 +235,7 @@ def _ast_template(expr: ast.Node | None) -> Template | None:
 
 
 def derive_facts(store: AstStore, raw: bytes, raw_hash: str, path: str,
-                 keep_tokens: bool = False, tracer=None) -> Facts | None:
+                 keep_tokens: bool = False) -> Facts | None:
     """One file's include facts from its bytes, through *store*'s memo.
 
     Lexes only files whose bytes hint at an include keyword.  Returns
@@ -241,8 +243,7 @@ def derive_facts(store: AstStore, raw: bytes, raw_hash: str, path: str,
     (:func:`fallback_facts` then decides and stores the facts, parsing
     the tokens left in *store*).  With *keep_tokens*, a lexed file's
     token list is left in *store* for the scan-phase parse, so the file
-    is not lexed twice.  *tracer*, when given, records the lex as a
-    ``lex`` span.
+    is not lexed twice.  The lex is a ``lex`` span of *store*'s tracer.
     """
     if _KEYWORD_HINT.search(raw) is None:
         return ()
@@ -252,11 +253,8 @@ def derive_facts(store: AstStore, raw: bytes, raw_hash: str, path: str,
     text = read_source(raw)
     store.include_lexes += 1
     try:
-        if tracer is None:
+        with store.span("lex", path):
             tokens = tokenize(text, path)
-        else:
-            with tracer.span("lex", phase="lex", file=path):
-                tokens = tokenize(text, path)
     except PhpSyntaxError:
         tokens = None
     facts = token_facts(tokens) if tokens is not None else ()
@@ -506,16 +504,18 @@ class IncludeContext:
     merged function table, the composed dependency summaries and the
     propagated global taint state of the file's include closure,
     memoizing all per-dependency work and (optionally) persisting it
-    through a :class:`~repro.analysis.summaries.SummaryCache`.
+    as the *store*'s ``summary`` kind
+    (:class:`~repro.analysis.summaries.SummaryCache`).
     """
 
     def __init__(self, graph: IncludeGraph,
                  ast_store: AstStore | None = None,
-                 summary_cache=None,
+                 store: Store | None = None,
                  metrics=None) -> None:
         self.graph = graph
         self.ast_store = ast_store if ast_store is not None else AstStore()
-        self.summary_cache = summary_cache
+        self.summary_cache = SummaryCache(store) \
+            if store is not None else None
         self.metrics = metrics
         self._programs: dict[str, ast.Program | None] = {}
         self._modules: dict[str, object | None] = {}

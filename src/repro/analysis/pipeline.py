@@ -23,8 +23,9 @@ removes all three:
   ``jobs=1`` keeps everything in-process (the debugging path).
 
 * **Incremental cache** — :class:`ResultCache` stores per-file detection
-  results keyed by (file content hash, knowledge fingerprint, tool
-  version).  The fingerprint (:func:`config_fingerprint`) covers every
+  results in the one on-disk :class:`~repro.php.ast_store.Store`, keyed
+  by (file content hash, knowledge fingerprint, tool version).  The
+  fingerprint (:func:`config_fingerprint`) covers every
   config field of every group, so arming a weapon, feeding an extra
   sanitizer (``--sanitizer sqli:escape``) or editing the ep/ss/san
   knowledge base all invalidate cleanly.  Predictions are *not* cached:
@@ -43,15 +44,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
-import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from repro.exceptions import PhpSyntaxError
-from repro.php import Parser, ast, tokenize
-from repro.php.ast_store import AstCache, AstStore, PackFile, read_source
+from repro.php import ast
+from repro.php.ast_store import AstStore, Store, read_source
 from repro.analysis.detector import PHP_EXTENSIONS, FileResult
 from repro.analysis.engine import TaintEngine
 from repro.analysis.includes import (
@@ -60,7 +60,6 @@ from repro.analysis.includes import (
     build_include_graph,
     derive_facts,
 )
-from repro.analysis.summaries import SummaryCache
 from repro.analysis.model import (
     STEP_CONCAT,
     CandidateVulnerability,
@@ -75,7 +74,7 @@ from repro.analysis.prefilter import (
 from repro.ir.opcodes import OPNAMES
 from repro.obs.log import NULL_LOG, JsonlLogger, new_run_id
 from repro.telemetry import NULL_TELEMETRY, Telemetry
-from repro.telemetry.stats import IncludeStats
+from repro.telemetry.stats import CacheStats, IncludeStats
 
 #: bump when the cached payload layout or engine semantics change.
 #: 3: cache keys and stored paths are project-relative (a moved or
@@ -135,7 +134,6 @@ class FusedDetector:
                  telemetry: Telemetry | None = None,
                  include_graph: IncludeGraph | None = None,
                  ast_store: AstStore | None = None,
-                 summary_cache: SummaryCache | None = None,
                  profile: bool = False) -> None:
         self.groups = tuple(groups)
         self.telemetry = telemetry or NULL_TELEMETRY
@@ -151,15 +149,13 @@ class FusedDetector:
         self.include_graph = include_graph
         # one parse per unique content: the scan phase and the include
         # context draw from the same store (shared with the resolver when
-        # the scheduler passes its own)
+        # the scheduler passes its own); summaries persist in its disk
+        # store
         if ast_store is None:
-            ast_store = AstStore(
-                metrics=self.telemetry.metrics
-                if self.telemetry.enabled else None)
+            ast_store = frontend_store(None, self.telemetry)
         self.ast_store = ast_store
         self._includes = IncludeContext(
-            include_graph, ast_store=ast_store,
-            summary_cache=summary_cache,
+            include_graph, ast_store=ast_store, store=ast_store.disk,
             metrics=self.telemetry.metrics
             if self.telemetry.enabled else None) \
             if include_graph else None
@@ -237,32 +233,7 @@ class FusedDetector:
         """
         store = self.ast_store
         key = store.source_key(source)
-        if not self.telemetry.enabled:
-            program, warnings = store.parse_recovering(source, filename,
-                                                       key)
-        elif (entry := store.lookup(key)) is not None:
-            program, warnings = store.materialize(entry, filename)
-        else:
-            # traced variant of AstStore.parse_recovering: lex, parse and
-            # lower keep their own spans; a store hit skips all three,
-            # and tokens the include resolver lexed skip the lex
-            tracer = self.telemetry.tracer
-            try:
-                tokens = store.take_tokens(key)
-                if tokens is None:
-                    with tracer.span("lex", phase="lex", file=filename):
-                        tokens = tokenize(source, filename)
-                with tracer.span("parse", phase="parse",
-                                 file=filename):
-                    parser = Parser(tokens, filename, recover=True)
-                    program = parser.parse_program()
-                    warnings = list(parser.warnings)
-            except PhpSyntaxError as exc:
-                store.store_error(key, exc)
-                raise
-            with tracer.span("lower", phase="lower", file=filename):
-                module = store._lower(program)
-            store.store(key, program, warnings, module=module)
+        program, warnings = store.parse_recovering(source, filename, key)
         if warnings and not any(not isinstance(node, ast.InlineHTML)
                                 for node in program.body):
             raise warnings[0]  # recovery salvaged no PHP at all
@@ -458,84 +429,37 @@ def _absolutize_candidates(candidates: list[CandidateVulnerability],
 
 
 class ResultCache:
-    """Content-addressed per-file detection results on disk.
+    """The ``result`` kind's codec over the one :class:`Store`.
 
-    Layout: ``<directory>/<fingerprint-prefix>/<content-hash>.pkl``.  The
-    fingerprint directory isolates knowledge configurations from each
-    other; the content hash makes results follow file *contents*, so an
+    Keys are :func:`closure_key` digests inside the store's
+    knowledge-fingerprint pack, so results follow file *contents*: an
     unchanged tree re-scans near-instantly and a renamed file still hits.
-
     Entries never embed the paths of the checkout that populated them:
     candidate filenames and cross-file hop attributions are stored
     relative to the scanned file and re-joined at load, so a cache can be
     shared across moved, renamed or duplicated project roots.
 
-    Behaviour is always counted — ``hits``/``misses``/``evictions``/
-    ``puts`` — so the report can surface cache effectiveness even when
-    telemetry is off.  A corrupt entry is *evicted* (deleted) on the miss
-    that discovers it, so it cannot keep costing a failed unpickle on
-    every scan.
-
-    Since the pack-file layout, entries are written into one
-    :class:`~repro.php.ast_store.PackFile` (``pack.pkl`` inside the
-    fingerprint directory): puts are buffered and persisted by the one
-    :meth:`flush` the scheduler issues per scan, replacing thousands of
-    per-entry temp-write + rename round trips with a single atomic
-    rewrite.  Legacy per-entry ``<hash>.pkl`` files are still read (and
-    evicted when corrupt) but no longer written.
+    Storage, eviction, counting (``store.counts["result"]``, surfaced as
+    :meth:`stats` even when telemetry is off) and flushing are the
+    store's.
     """
 
-    def __init__(self, directory: str, fingerprint: str) -> None:
-        self.directory = os.path.join(directory, fingerprint[:24])
-        os.makedirs(self.directory, exist_ok=True)
-        self.pack = PackFile(os.path.join(self.directory, "pack.pkl"))
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.puts = 0
+    def __init__(self, store: Store) -> None:
+        self.store = store
 
     @staticmethod
     def content_hash(data: bytes) -> str:
         return hashlib.sha256(data).hexdigest()
 
-    def _entry_path(self, content_hash: str) -> str:
-        return os.path.join(self.directory, content_hash + ".pkl")
-
-    def _load(self, key: str):
-        """Raw payload for *key* from the pack or a legacy per-file
-        entry; ``None`` on miss, with corrupt entries evicted."""
-        blob = self.pack.get(key)
-        if self.pack.corrupt:
-            self.pack.corrupt = False
-            self.evictions += 1
-        if blob is not None:
-            try:
-                return pickle.loads(blob)
-            except Exception:
-                self.pack.discard(key)
-                self.evictions += 1
-                return None
-        entry = self._entry_path(key)
-        try:
-            with open(entry, "rb") as f:
-                return pickle.load(f)
-        except FileNotFoundError:
-            return None
-        except Exception:  # corrupt entries raise anything: miss + evict
-            try:
-                os.unlink(entry)
-                self.evictions += 1
-            except OSError:
-                pass
-            return None
+    def stats(self) -> CacheStats:
+        """Hits, misses, evictions and puts so far."""
+        return CacheStats(*self.store.counts["result"])
 
     def get(self, content_hash: str, filename: str) -> FileResult | None:
         """Cached result for *content_hash*, re-attributed to *filename*."""
-        payload = self._load(content_hash)
-        if not isinstance(payload, dict):
-            self.misses += 1
+        payload = self.store.get("result", content_hash)
+        if payload is None:
             return None
-        self.hits += 1
         return FileResult(
             filename=filename,
             candidates=_absolutize_candidates(payload["candidates"],
@@ -549,8 +473,8 @@ class ResultCache:
         )
 
     def put(self, content_hash: str, result: FileResult) -> None:
-        """Buffer one result for the next :meth:`flush`."""
-        payload = {
+        """Buffer one result for the store's next flush."""
+        self.store.put("result", content_hash, {
             "candidates": _relativize_candidates(
                 result.candidates, os.path.dirname(result.filename)),
             "lines_of_code": result.lines_of_code,
@@ -559,33 +483,15 @@ class ResultCache:
             "parse_warning": _strip_file_marker(result.parse_warning,
                                                 result.filename),
             "recovered_statements": result.recovered_statements,
-        }
-        try:
-            blob = pickle.dumps(payload,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-        except (RecursionError, pickle.PicklingError,
-                AttributeError, TypeError):
-            return
-        self.pack.put(content_hash, blob)
-        self.puts += 1
+        })
 
-    def flush(self) -> None:
-        """Persist buffered puts (one atomic pack rewrite)."""
-        self.pack.flush()
 
-    # ------------------------------------------------------------------
-    # generic blobs (e.g. the resolved include graph) share the store but
-    # deliberately do NOT count toward the per-file hit/miss statistics
-    def get_blob(self, key: str):
-        return self._load(key)
-
-    def put_blob(self, key: str, value) -> None:
-        try:
-            blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        except (RecursionError, pickle.PicklingError,
-                AttributeError, TypeError):
-            return
-        self.pack.put(key, blob)
+def frontend_store(store: Store | None, telemetry: Telemetry) -> AstStore:
+    """A fresh parse-once memo over *store*, reporting into *telemetry*."""
+    if not telemetry.enabled:
+        return AstStore(disk=store)
+    return AstStore(disk=store, metrics=telemetry.metrics,
+                    tracer=telemetry.tracer)
 
 
 # ---------------------------------------------------------------------------
@@ -600,8 +506,7 @@ _WORKER_LOG = NULL_LOG
 def _init_worker(groups: tuple[ConfigGroup, ...],
                  telemetry_enabled: bool = False,
                  include_graph: IncludeGraph | None = None,
-                 ast_cache_dir: str | None = None,
-                 summary_cache_dir: str | None = None,
+                 cache_dir: str | None = None,
                  fingerprint: str = "",
                  profile: bool = False,
                  log_enabled: bool = False,
@@ -616,26 +521,22 @@ def _init_worker(groups: tuple[ConfigGroup, ...],
     worker can supply cross-file context; per-dependency state is
     memoized inside the worker's :class:`IncludeContext`.  Each worker
     keeps a per-process :class:`AstStore` (scan phase + include context
-    share one parse per content), backed by the on-disk AST cache when
-    the scan has a cache directory.  When the parent logs structured
-    events, each worker buffers its own segment-mode
-    :class:`~repro.obs.log.JsonlLogger` (same run id, same level) whose
-    records ship back with each chunk result, mirroring the span path.
+    share one parse per content), backed by its own handle on the
+    scan's on-disk :class:`Store` when the scan has a cache directory;
+    each chunk result ships the store's per-kind counts home.  When the
+    parent logs structured events, each worker buffers its own
+    segment-mode :class:`~repro.obs.log.JsonlLogger` (same run id, same
+    level) whose records ship back with each chunk result, mirroring
+    the span path.
     """
     global _WORKER_DETECTOR, _WORKER_TELEMETRY, _WORKER_LOG
     _WORKER_TELEMETRY = Telemetry(enabled=telemetry_enabled)
     _WORKER_LOG = JsonlLogger(level=log_level, run_id=run_id or None) \
         if log_enabled else NULL_LOG
-    ast_store = AstStore(
-        disk=AstCache(ast_cache_dir) if ast_cache_dir else None,
-        metrics=_WORKER_TELEMETRY.metrics if telemetry_enabled else None)
-    summary_cache = SummaryCache(summary_cache_dir, fingerprint) \
-        if summary_cache_dir else None
-    _WORKER_DETECTOR = FusedDetector(groups, telemetry=_WORKER_TELEMETRY,
-                                     include_graph=include_graph,
-                                     ast_store=ast_store,
-                                     summary_cache=summary_cache,
-                                     profile=profile)
+    store = Store(cache_dir, fingerprint) if cache_dir else None
+    _WORKER_DETECTOR = FusedDetector(
+        groups, telemetry=_WORKER_TELEMETRY, include_graph=include_graph,
+        ast_store=frontend_store(store, _WORKER_TELEMETRY), profile=profile)
 
 
 def _scan_path(path: str) -> FileResult:
@@ -654,7 +555,8 @@ def _scan_path(path: str) -> FileResult:
 
 def _scan_chunk(paths: list[str]
                 ) -> tuple[list[FileResult], list[dict] | None,
-                           dict[str, int] | None, list[dict] | None]:
+                           dict[str, int] | None, list[dict] | None,
+                           dict[str, list[int]] | None]:
     """Worker task: analyze a batch of files in one round-trip.
 
     Batching amortizes the per-task IPC cost (submit + result pickling)
@@ -663,7 +565,8 @@ def _scan_chunk(paths: list[str]
 
     Returns the per-file results plus, when the scan is traced, the
     worker-side span records and counter snapshot for this chunk, plus,
-    when the scan logs, this worker's drained log segment.
+    when the scan logs, this worker's drained log segment, plus the
+    chunk's per-kind store counts when the scan has a cache directory.
     """
     telemetry = _WORKER_TELEMETRY
     log = _WORKER_LOG
@@ -684,28 +587,30 @@ def _scan_chunk(paths: list[str]
                          recovered=result.recovered_statements)
         log.info("chunk_scanned", files=len(paths),
                  candidates=sum(len(r.candidates) for r in results))
-    _flush_worker_caches()
+    store_counts = _flush_worker_caches()
     log_records = log.drain(worker=os.getpid()) or None
     if not telemetry.enabled:
-        return results, None, None, log_records
+        return results, None, None, log_records, store_counts
     return (results, telemetry.tracer.drain(worker=os.getpid()),
-            telemetry.metrics.drain_counters(), log_records)
+            telemetry.metrics.drain_counters(), log_records, store_counts)
 
 
-def _flush_worker_caches() -> None:
-    """Persist the worker's buffered AST/summary pack writes.
+def _flush_worker_caches() -> dict[str, list[int]] | None:
+    """Persist the worker's buffered store writes; returns (and resets)
+    the store's per-kind counts.
 
     Under ``--profile`` this is also where the worker's opcode histogram
     becomes counters, so it rides home in the chunk's counter snapshot.
     """
     detector = _WORKER_DETECTOR
     if detector is None:
-        return
+        return None
     detector.flush_opcode_profile()
-    detector.ast_store.flush()
-    includes = detector._includes
-    if includes is not None and includes.summary_cache is not None:
-        includes.summary_cache.flush()
+    store = detector.ast_store.disk
+    if store is None:
+        return None
+    store.flush()
+    return store.take_counts()
 
 
 class ScanScheduler:
@@ -728,8 +633,12 @@ class ScanScheduler:
         self.groups = tuple(groups)
         self.jobs = opts.resolved_jobs()
         self.fingerprint = config_fingerprint(self.groups, tool_version)
-        self.cache = ResultCache(opts.cache_dir, self.fingerprint) \
+        #: the scan's on-disk store (None without a cache dir): every
+        #: cache kind, flushed once per scan; workers open their own
+        #: handle on the same directory and ship their counts home.
+        self.store = Store(opts.cache_dir, self.fingerprint) \
             if opts.cache_dir else None
+        self.cache = ResultCache(self.store) if self.store else None
         self.telemetry = opts.resolve_telemetry()
         self.includes = opts.includes
         self.profile = opts.profile
@@ -740,30 +649,9 @@ class ScanScheduler:
         if log.enabled and "run_id" not in log.bound:
             log = log.bind(run_id=self.run_id)
         self.log = log
-        #: on-disk AST tier (None without a cache dir or with
-        #: ``--no-ast-cache``); workers open their own handle to the
-        #: same directory.
-        self.ast_cache_dir = opts.cache_dir \
-            if (opts.cache_dir and opts.ast_cache) else None
-        self.ast_cache = AstCache(self.ast_cache_dir) \
-            if self.ast_cache_dir else None
-        #: on-disk summary tier (None without a cache dir or with
-        #: ``--no-summary-cache``); keyed by content + closure +
-        #: knowledge fingerprint, so it needs no fingerprint directory.
-        #: It lives inside the AST tier directory, so disabling the AST
-        #: tier disables it too.
-        self.summary_cache_dir = opts.cache_dir \
-            if (opts.cache_dir and opts.ast_cache
-                and opts.summary_cache) else None
-        self.summary_cache = SummaryCache(self.summary_cache_dir,
-                                          self.fingerprint) \
-            if self.summary_cache_dir else None
         #: the scan's shared frontend memo: include facts, the include
         #: resolver's AST fallback and the ``jobs=1`` scan phase.
-        self.ast_store = AstStore(
-            disk=self.ast_cache,
-            metrics=self.telemetry.metrics
-            if self.telemetry.enabled else None)
+        self.ast_store = frontend_store(self.store, self.telemetry)
         #: the knowledge-compiled relevance prefilter (None when
         #: disabled): classifies files from raw bytes before any parse
         #: and skips the pipeline for files that cannot contain a
@@ -771,7 +659,7 @@ class ScanScheduler:
         #: fingerprint, so arming a weapon rebuilds it.
         self.prefilter = RelevancePrefilter(
             matcher_for(self.groups, self.fingerprint),
-            cache=self.cache) if (opts.prefilter and self.groups) else None
+            store=self.store) if (opts.prefilter and self.groups) else None
         #: tier counts of the last scan (None when the prefilter is off).
         self.prefilter_stats = None
         #: the resolved include graph of the last scan (telemetry + tests).
@@ -806,7 +694,6 @@ class ScanScheduler:
                                            telemetry=self.telemetry,
                                            include_graph=graph,
                                            ast_store=self.ast_store,
-                                           summary_cache=self.summary_cache,
                                            profile=self.profile)
             self._detector_graph = graph
         return self._detector
@@ -837,17 +724,11 @@ class ScanScheduler:
         store = self.ast_store
         work0 = (store.include_lexes, store.include_fallbacks,
                  store.include_fact_hits)
-        # include facts come from the bytes read for hashing — unless they
-        # could not outlive this scan (no AST tier) while a cached graph
-        # blob may make them unnecessary: then the resolver reads files
-        # itself, and only on a blob miss
-        facts: dict | None = {} \
-            if self.includes and (self.ast_cache is not None
-                                  or self.cache is None) else None
+        # include facts come from the bytes read for hashing
+        facts: dict | None = {} if self.includes else None
         # at jobs=1 the scan-phase parse of a (sink, source) file reuses
         # the tokens lexed for its facts
         keep = self.jobs == 1 and self.prefilter is not None
-        lex_tracer = telemetry.tracer if telemetry.enabled else None
         if self.cache is not None or self.prefilter is not None \
                 or self.includes:
             with telemetry.tracer.span("read", phase="read",
@@ -870,8 +751,7 @@ class ScanScheduler:
                     if facts is not None:
                         facts[path] = derive_facts(
                             store, raw, digest, path,
-                            keep_tokens=keep and verdict == (True, True),
-                            tracer=lex_tracer)
+                            keep_tokens=keep and verdict == (True, True))
         if self.includes:
             with telemetry.tracer.span("resolve_includes", phase="link",
                                        files=len(paths)):
@@ -907,13 +787,10 @@ class ScanScheduler:
             if self._detector is not None:
                 self._detector.flush_opcode_profile()
             store.drop_tokens()  # held tokens of files never parsed
-            # one atomic pack rewrite per tier instead of thousands of
-            # tiny per-entry files — see PackFile
-            store.flush()
-            if self.summary_cache is not None:
-                self.summary_cache.flush()
-            if self.cache is not None:
-                self.cache.flush()
+            # one atomic rewrite per touched pack instead of thousands
+            # of tiny per-entry files — see PackFile
+            if self.store is not None:
+                self.store.flush()
         if self.include_graph is not None:
             for result in results:
                 result.resolved_includes = \
@@ -934,22 +811,11 @@ class ScanScheduler:
                 for name, value in self.include_stats.to_dict().items():
                     metrics.counter(f"include_{name}").inc(value)
             if self.cache is not None:
-                metrics.gauge("cache_hits").set(self.cache.hits)
-                metrics.gauge("cache_misses").set(self.cache.misses)
-                metrics.gauge("cache_evictions").set(self.cache.evictions)
-                metrics.gauge("cache_puts").set(self.cache.puts)
-            if self.ast_cache is not None:
-                metrics.gauge("ast_cache_hits").set(self.ast_cache.hits)
-                metrics.gauge("ast_cache_misses").set(
-                    self.ast_cache.misses)
-                metrics.gauge("ast_cache_puts").set(self.ast_cache.puts)
-            if self.summary_cache is not None:
-                metrics.gauge("summary_cache_hits").set(
-                    self.summary_cache.hits)
-                metrics.gauge("summary_cache_misses").set(
-                    self.summary_cache.misses)
-                metrics.gauge("summary_cache_puts").set(
-                    self.summary_cache.puts)
+                cache = self.cache.stats()
+                metrics.gauge("cache_hits").set(cache.hits)
+                metrics.gauge("cache_misses").set(cache.misses)
+                metrics.gauge("cache_evictions").set(cache.evictions)
+                metrics.gauge("cache_puts").set(cache.puts)
             if self.prefilter_stats is not None:
                 metrics.gauge("prefilter_skipped").set(
                     self.prefilter_stats.skipped)
@@ -973,24 +839,24 @@ class ScanScheduler:
                        facts: dict | None = None) -> IncludeGraph:
         """The project include graph, served from cache when unchanged.
 
-        The finished graph is stored as a cache blob keyed by the content
-        hashes of ALL scanned files (any edit, add or remove rebuilds it
-        from the per-file include facts).
+        The finished graph is stored as the store's ``graph`` kind, keyed
+        by the paths and content hashes of ALL scanned files (any edit,
+        add or remove rebuilds it from the per-file include facts).
         """
         key = None
-        if self.cache is not None and len(raw_hashes) == len(paths):
+        if self.store is not None and len(raw_hashes) == len(paths):
             digest = hashlib.sha256()
             for path in paths:
                 digest.update(f"{path}\x00{raw_hashes[path]}\n".encode())
-            key = "includes-" + digest.hexdigest()
-            cached = self.cache.get_blob(key)
-            if isinstance(cached, IncludeGraph):
+            key = digest.hexdigest()
+            cached = self.store.get("graph", key)
+            if cached is not None:
                 return cached
         graph = build_include_graph(paths, facts=facts,
                                     ast_store=self.ast_store,
                                     hashes=raw_hashes)
         if key is not None:
-            self.cache.put_blob(key, graph)
+            self.store.put("graph", key, graph)
         return graph
 
     def _scan_files_traced(self, paths: list[str],
@@ -1083,8 +949,7 @@ class ScanScheduler:
                                      initargs=(self.groups,
                                                telemetry.enabled,
                                                self._worker_graph(),
-                                               self.ast_cache_dir,
-                                               self.summary_cache_dir,
+                                               self.options.cache_dir,
                                                self.fingerprint,
                                                self.profile,
                                                self.log.enabled,
@@ -1096,8 +961,8 @@ class ScanScheduler:
                            for chunk in chunks}
                 for future, chunk in futures.items():
                     try:
-                        chunk_results, spans, counters, log_records = \
-                            future.result()
+                        (chunk_results, spans, counters, log_records,
+                         store_counts) = future.result()
                         for (i, _path), result in zip(chunk,
                                                       chunk_results):
                             out[i] = result
@@ -1105,6 +970,7 @@ class ScanScheduler:
                                      parent_id=tracer.current_id)
                         telemetry.metrics.merge_counters(counters)
                         self.log.merge(log_records)
+                        self._merge_store_counts(store_counts)
                     except Exception as exc:
                         # a worker died mid-chunk, or raised something we
                         # cannot attribute to one file: retry each file of
@@ -1172,17 +1038,17 @@ class ScanScheduler:
                                          initializer=_init_worker,
                                          initargs=(self.groups, False,
                                                    self._worker_graph(),
-                                                   self.ast_cache_dir,
-                                                   self.summary_cache_dir,
+                                                   self.options.cache_dir,
                                                    self.fingerprint,
                                                    False,
                                                    self.log.enabled,
                                                    self.log.level,
                                                    self.run_id)
                                          ) as pool:
-                    result, _spans, _counters, log_records = pool.submit(
-                        _scan_chunk, [path]).result()
+                    result, _spans, _counters, log_records, store_counts = \
+                        pool.submit(_scan_chunk, [path]).result()
                     self.log.merge(log_records)
+                    self._merge_store_counts(store_counts)
                     return result[0]
             except BrokenProcessPool as exc:
                 self._record_crash(path, type(exc).__name__, span)
@@ -1191,6 +1057,10 @@ class ScanScheduler:
                 self._record_crash(path, type(exc).__name__, span)
                 return FileResult(filename=path,
                                   parse_error=f"worker error: {exc}")
+
+    def _merge_store_counts(self, counts) -> None:
+        if counts and self.store is not None:
+            self.store.add_counts(counts)
 
     def _record_crash(self, path: str, exc_class: str, span) -> None:
         self.crashes.append((path, exc_class))

@@ -33,11 +33,12 @@ construction.  The one observable difference: a skipped file is never
 parsed, so parse diagnostics are only emitted for analyzed files —
 ``--no-prefilter`` restores them everywhere.
 
-Verdicts are cached two ways: a per-process memo and, when a result
-cache is attached, ``prefilter-<content-hash>`` blob entries inside the
-cache's knowledge-fingerprint pack — so editing a weapon or catalog
-changes the fingerprint and atomically invalidates both the compiled
-matcher (memoized per fingerprint) and every stored verdict.
+Verdicts are cached two ways: a per-process memo and, when a
+:class:`~repro.php.ast_store.Store` is attached, its ``verdict`` kind
+(keyed by content hash, inside the knowledge-fingerprint pack) — so
+editing a weapon or catalog changes the fingerprint and atomically
+invalidates both the compiled matcher (memoized per fingerprint) and
+every stored verdict.
 """
 
 from __future__ import annotations
@@ -79,11 +80,6 @@ _PSEUDO_SINK_LITERALS = {
     SINK_ECHO: (rb"<\?=",),
     SINK_SHELL: (rb"`",),
 }
-
-#: blob-cache key prefix for per-content verdicts (the surrounding pack
-#: directory already encodes the knowledge fingerprint).
-_VERDICT_KEY = "prefilter-"
-
 
 class KnowledgeMatcher:
     """Two byte-level matchers compiled from the knowledge catalogs.
@@ -175,40 +171,39 @@ class RelevancePrefilter:
 
     Args:
         matcher: the fingerprint-keyed :class:`KnowledgeMatcher`.
-        cache: optional :class:`~repro.analysis.pipeline.ResultCache`;
-            verdicts are persisted as blob entries in its pack (keyed by
-            content hash; the pack directory carries the fingerprint).
+        store: optional :class:`~repro.php.ast_store.Store`; verdicts
+            persist as its ``verdict`` kind (keyed by content hash; the
+            store's fingerprint scopes them).
         memo: optional externally-owned ``{content_hash: verdict}``
             dict, letting a warm :class:`~repro.api.Scanner` keep
             verdicts across scan cycles.
     """
 
-    def __init__(self, matcher: KnowledgeMatcher, cache=None,
+    def __init__(self, matcher: KnowledgeMatcher, store=None,
                  memo: dict | None = None) -> None:
         self.matcher = matcher
-        self.cache = cache
+        self.store = store
         self.memo: dict[str, tuple[bool, bool]] = \
             memo if memo is not None else {}
 
     # ------------------------------------------------------------------
     def verdict(self, raw: bytes,
                 content_hash: str | None = None) -> tuple[bool, bool]:
-        """Classify one file's bytes, through the memo and blob cache."""
+        """Classify one file's bytes, through the memo and the store."""
         if content_hash is None:
             return self.matcher.verdict(raw)
         got = self.memo.get(content_hash)
         if got is not None:
             return got
-        if self.cache is not None:
-            stored = self.cache.get_blob(_VERDICT_KEY + content_hash)
-            if (isinstance(stored, tuple) and len(stored) == 2
-                    and all(isinstance(v, bool) for v in stored)):
-                self.memo[content_hash] = stored
-                return stored
+        if self.store is not None:
+            got = self.store.get("verdict", content_hash)
+            if got is not None:
+                self.memo[content_hash] = got
+                return got
         verdict = self.matcher.verdict(raw)
         self.memo[content_hash] = verdict
-        if self.cache is not None:
-            self.cache.put_blob(_VERDICT_KEY + content_hash, verdict)
+        if self.store is not None:
+            self.store.put("verdict", content_hash, verdict)
         return verdict
 
     def verdict_for_path(self, path: str,

@@ -10,10 +10,11 @@ contribution to its includers reduces to two values: the taint env its
 top level exports and its own function summaries.  This module persists
 exactly that pair.
 
-:class:`SummaryCache` stores one entry per dependency file in the same
-``ast-v<N>/`` directory as the pickled ASTs (the two tiers version
-together: an engine-semantics change that invalidates summaries bumps
-:data:`repro.php.ast_store.AST_FORMAT`, stranding both).  Keys cover
+:class:`SummaryCache` is that pair's codec over the one content-addressed
+:class:`~repro.php.ast_store.Store` (its ``summary`` kind, the
+``ast-v<N>/sum-pack.pkl`` pack beside the ASTs: both invalidate on
+frontend/engine format changes, which bump
+:data:`repro.php.ast_store.AST_FORMAT`).  Keys cover
 
 * the file's own content hash (:meth:`repro.php.ast_store
   .AstStore.source_key`),
@@ -28,9 +29,8 @@ together: an engine-semantics change that invalidates summaries bumps
 Entries never embed checkout paths: path-step files and candidate
 filenames are stored relative to the summarized file and re-joined at
 load, mirroring ``ResultCache``, so a cache survives a moved or renamed
-project root.  Entries live in one :class:`~repro.php.ast_store.PackFile`
-(buffered puts, one atomic rewrite per :meth:`SummaryCache.flush`);
-corrupt entries are evicted on the miss that discovers them.
+project root.  Buffering, flushing and corrupt-entry eviction are the
+store's, shared with every other kind.
 """
 
 from __future__ import annotations
@@ -38,10 +38,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
-import pickle
 
-from repro.analysis.model import FunctionSummary, Taint
-from repro.php.ast_store import AST_FORMAT, PackFile
+from repro.analysis.model import FunctionSummary
+from repro.php.ast_store import Store
 
 #: bump when the summary payload layout changes without an engine or
 #: frontend format change (rare: AST_FORMAT covers most invalidations).
@@ -101,31 +100,21 @@ def _map_state(env: Env, summaries: dict, mapper) -> tuple[Env, dict]:
 
 
 class SummaryCache:
-    """On-disk (exported env, function summaries) entries per dependency.
+    """The ``summary`` kind's codec over the one :class:`Store`.
 
-    Layout: ``<directory>/ast-v<AST_FORMAT>/sum-pack.pkl`` — one
-    :class:`~repro.php.ast_store.PackFile` of every entry.  The summary
-    tier shares the AST tier's version directory because both invalidate
-    on frontend/engine format changes, while the knowledge fingerprint
-    rides inside the digest (summaries are config-dependent, lowered
-    modules are not).
-
-    Puts are buffered until :meth:`flush` (the scan scheduler and the
-    workers flush once per scan/chunk).  Behaviour is always counted
-    (``hits``/``misses``/``evictions``/``puts``); the telemetry-facing
-    ``summary_cache_hit``/``summary_cache_miss`` counters are published
-    by the caller (:class:`repro.analysis.includes.IncludeContext`).
+    An entry is one dependency file's (exported env, function summaries)
+    pair.  Path-step files and candidate filenames are stored relative to
+    the summarized file and re-joined onto whatever path it has at load
+    time; :meth:`state_key` builds the keys.  Storage, eviction, counting
+    and flushing are the store's (``store.counts["summary"]``); the
+    telemetry-facing ``summary_cache_hit``/``summary_cache_miss``
+    counters are published by the caller
+    (:class:`repro.analysis.includes.IncludeContext`).
     """
 
-    def __init__(self, directory: str, fingerprint: str) -> None:
-        self.directory = os.path.join(directory, f"ast-v{AST_FORMAT}")
-        os.makedirs(self.directory, exist_ok=True)
-        self.pack = PackFile(os.path.join(self.directory, "sum-pack.pkl"))
-        self.fingerprint = fingerprint
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.puts = 0
+    def __init__(self, store: Store) -> None:
+        self.store = store
+        self.fingerprint = store.fingerprint
 
     # ------------------------------------------------------------------
     def state_key(self, source_key: str,
@@ -147,48 +136,24 @@ class SummaryCache:
     # ------------------------------------------------------------------
     def get(self, key: str, filename: str) -> tuple[Env, dict] | None:
         """Cached (env, summaries) for *key*, rebased onto *filename*."""
-        blob = self.pack.get(key)
-        if self.pack.corrupt:
-            self.pack.corrupt = False
-            self.evictions += 1
-        if blob is None:
-            self.misses += 1
+        state = self.store.get("summary", key)
+        if state is None:
             return None
-        try:
-            env, summaries = pickle.loads(blob)
-        except Exception:  # corrupt entries raise anything: miss + evict
-            self.misses += 1
-            self.pack.discard(key)
-            self.evictions += 1
-            return None
-        self.hits += 1
         base = os.path.dirname(filename)
 
         def absolutize(path: str) -> str:
             return os.path.normpath(os.path.join(base, path))
 
+        env, summaries = state
         return _map_state(env, summaries, absolutize)
 
     def put(self, key: str, filename: str,
             env: Env, summaries: dict) -> None:
-        """Buffer one file's state for the next :meth:`flush`."""
+        """Buffer one file's state for the store's next flush."""
         base = os.path.dirname(filename)
 
         def relativize(path: str) -> str:
             return os.path.relpath(path, base)
 
-        payload = _map_state(env, summaries, relativize)
-        try:
-            blob = pickle.dumps(payload,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-        # unpicklable members surface as PicklingError, AttributeError
-        # or TypeError depending on the object and protocol
-        except (RecursionError, pickle.PicklingError,
-                AttributeError, TypeError):
-            return
-        self.pack.put(key, blob)
-        self.puts += 1
-
-    def flush(self) -> None:
-        """Persist buffered puts (one atomic pack rewrite)."""
-        self.pack.flush()
+        self.store.put("summary", key,
+                       _map_state(env, summaries, relativize))

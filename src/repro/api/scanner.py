@@ -59,14 +59,14 @@ from repro.analysis.pipeline import (
     ScanScheduler,
     closure_key,
     config_fingerprint,
+    frontend_store,
 )
 from repro.analysis.prefilter import (
     TIER_SINK_BEARING,
     RelevancePrefilter,
     matcher_for,
 )
-from repro.analysis.summaries import SummaryCache
-from repro.php.ast_store import AstCache, AstStore
+from repro.php.ast_store import AstStore, Store
 from repro.telemetry import CacheStats, build_scan_stats
 from repro.telemetry.stats import IncludeStats
 from repro.tool.report import AnalysisReport
@@ -150,7 +150,9 @@ class _RootState:
     graph: IncludeGraph | None
     keys: dict[str, str]
     results: dict[str, FileResult] = field(default_factory=dict)
-    cache: ResultCache | None = None
+    #: the on-disk store, opened by the cold scan and kept warm (its
+    #: packs stay loaded across rescans)
+    store: Store | None = None
 
 
 class Scanner:
@@ -347,8 +349,8 @@ class Scanner:
         with self._lock:
             self._states[root] = _RootState(
                 fingerprint, snapshot, graph, keys,
-                dict(zip(paths, results)), scheduler.cache)
-        hits = scheduler.cache.hits if scheduler.cache else 0
+                dict(zip(paths, results)), scheduler.store)
+        hits = report.cache.hits if report.cache else 0
         # prefilter-skipped files (irrelevant + dep-only) were neither
         # analyzed nor served from cache: keep analyzed_files honest
         skipped = (report.prefilter.skipped + report.prefilter.dep_only) \
@@ -371,9 +373,11 @@ class Scanner:
 
         report = AnalysisReport(self.tool.version, root,
                                 groups=dict(self.tool.groups))
-        cache = state.cache
-        stats0 = (cache.hits, cache.misses, cache.evictions, cache.puts) \
-            if cache is not None else None
+        store = state.store
+        cache = None
+        if store is not None:
+            cache = ResultCache(store)
+            store.take_counts()  # count this scan's work from zero
         with telem.tracer.span("warm_scan", phase="run",
                                root=root) as root_span:
             prev_snapshot = state.snapshot
@@ -396,7 +400,7 @@ class Scanner:
             tiers = None
             if opts.prefilter and groups:
                 prefilter = RelevancePrefilter(
-                    matcher_for(groups, fingerprint), cache=state.cache,
+                    matcher_for(groups, fingerprint), store=store,
                     memo=self._prefilter_memo)
                 with telem.tracer.span("prefilter", phase="prefilter",
                                        files=len(paths)):
@@ -409,20 +413,10 @@ class Scanner:
             if to_run:
                 # a fresh detector per scan with changes: IncludeContext
                 # memoizes dependency state, which edited files invalidate
-                # (the AST store persists across scans via its disk tier)
-                opts_ = self.options
-                disk = AstCache(opts_.cache_dir) \
-                    if (opts_.cache_dir and opts_.ast_cache) else None
-                store = AstStore(
-                    disk=disk,
-                    metrics=telem.metrics if telem.enabled else None)
-                summary_cache = SummaryCache(opts_.cache_dir, fingerprint) \
-                    if (opts_.cache_dir and opts_.ast_cache
-                        and opts_.summary_cache) else None
-                detector = FusedDetector(groups, telemetry=telem,
-                                         include_graph=graph,
-                                         ast_store=store,
-                                         summary_cache=summary_cache)
+                # (parses persist across scans via the warm store)
+                detector = FusedDetector(
+                    groups, telemetry=telem, include_graph=graph,
+                    ast_store=frontend_store(store, telem))
                 with telem.tracer.span("scan", phase="scan",
                                        files=len(to_run)):
                     for path in to_run:
@@ -445,11 +439,10 @@ class Scanner:
                         results[path] = detector.detect_file(path)
                         if cache is not None:
                             cache.put(keys[path], results[path])
+            counts = None
+            if store is not None:
                 store.flush()
-                if summary_cache is not None:
-                    summary_cache.flush()
-                if cache is not None:
-                    cache.flush()
+                counts = store.take_counts()
             if graph is not None:
                 for path, result in results.items():
                     result.resolved_includes = graph.resolved.get(path, 0)
@@ -463,10 +456,8 @@ class Scanner:
                     report.files.append(file_report)
                     if self.on_file is not None:
                         self.on_file(file_report)
-        if cache is not None and stats0 is not None:
-            report.cache = CacheStats(
-                cache.hits - stats0[0], cache.misses - stats0[1],
-                cache.evictions - stats0[2], cache.puts - stats0[3])
+        if counts is not None:
+            report.cache = CacheStats(*counts["result"])
         if telem.enabled:
             metrics = telem.metrics
             metrics.counter("scans_incremental").inc()
@@ -479,13 +470,14 @@ class Scanner:
                     .set(report.prefilter.dep_only)
                 metrics.gauge("prefilter_sink_bearing") \
                     .set(report.prefilter.sink_bearing)
-            report.stats = build_scan_stats(report, telem, root_span)
+            report.stats = build_scan_stats(report, telem, root_span,
+                                            counts=counts)
 
         # publish the new warm state as one fresh object under the lock:
         # observers never see a half-updated snapshot/results pair
         with self._lock:
             self._states[root] = _RootState(
-                fingerprint, snapshot, graph, keys, results, state.cache)
+                fingerprint, snapshot, graph, keys, results, store)
         return ScanResult(
             report, incremental=True,
             analyzed_files=len(to_run) - skipped_run,

@@ -1,4 +1,4 @@
-"""Parse-once frontend: shared AST store with an optional on-disk cache.
+"""Parse-once frontend, plus the one content-addressed on-disk store.
 
 Every frontend consumer of a scan — the include context, the fused
 detector and the include resolver's AST fallback — asks one
@@ -14,30 +14,33 @@ files share one entry, and cached syntax errors/warnings are re-attributed
 to the *requesting* filename on every hit (error messages never embed the
 path; only :class:`~repro.exceptions.PhpSyntaxError` carries it).
 
-:class:`AstCache` adds an optional on-disk tier (pickled, content-hash
-keyed, format-versioned via :data:`AST_FORMAT` the way ``ResultCache``
-uses the knowledge fingerprint), so incremental re-scans of a dirty
-include closure stop re-lexing unchanged includer files.  Corrupt entries
-are evicted on the miss that discovers them; writes are atomic
-(temp + rename).  Beside the AST pack the tier keeps each file's
-*include facts* (:meth:`AstStore.get_facts`), keyed by the hash of the
-file's raw bytes: they are knowledge-independent, so dropping the
-result tier never forces a re-lex.
+The on-disk side of every cache lives here too: :class:`Store` is the
+one content-addressed store behind all six cache kinds (per-file
+results, prefilter verdicts, include graphs, ASTs, include facts and
+function summaries), each a namespaced ``(kind, key)`` inside one of
+four :class:`PackFile` packs.  An :class:`AstStore` with a ``disk``
+store serves parses of unchanged content from it, so incremental
+re-scans of a dirty include closure stop re-lexing unchanged includer
+files, and keeps each file's *include facts* (:meth:`AstStore.get_facts`)
+beside the ASTs, keyed by the hash of the file's raw bytes: they are
+knowledge-independent, so dropping the result packs never forces a
+re-lex.
 
-Since format 2, every successful entry also carries the file's lowered
-:class:`~repro.ir.opcodes.IRModule`: :meth:`AstStore.store` lowers
-eagerly (timed into the ``ir_lower_seconds`` counter), so the taint
-engine's hot path never re-lowers a content the process — or, via the
-disk tier, an earlier process — has already seen.  Lowered modules are
-config-independent (see :mod:`repro.ir.lower`), which is what lets them
-be cached purely by content hash, unlike the config-fingerprinted
-summary tier (:mod:`repro.analysis.summaries`).
+Every successful entry also carries the file's lowered
+:class:`~repro.ir.opcodes.IRModule`: :meth:`AstStore.parse_recovering`
+lowers eagerly (timed into the ``ir_lower_seconds`` counter), so the
+taint engine's hot path never re-lowers a content the process — or, via
+the disk store, an earlier process — has already seen.  Lowered modules
+are config-independent (see :mod:`repro.ir.lower`), which is what lets
+them be keyed purely by content hash, unlike the config-fingerprinted
+summaries (:mod:`repro.analysis.summaries`).
 
-The store deliberately has no dependency on :mod:`repro.telemetry`
-(which transitively imports the analysis layer): callers may hand it any
-object with the ``Metrics`` counter interface via ``metrics=`` and the
-store then also publishes ``frontend_reparse_avoided`` /
-``ast_cache_hit`` counters; the plain integer counters on the store
+The module deliberately has no dependency on :mod:`repro.telemetry`
+(which transitively imports the analysis layer): callers may hand an
+:class:`AstStore` any object with the ``Metrics`` counter interface via
+``metrics=`` (it then also publishes ``frontend_reparse_avoided`` /
+``ast_cache_hit`` counters) and any object with the ``Tracer`` span
+interface via ``tracer=``; the plain integer counters on the store
 itself are always maintained.
 
 Shared ``Program`` objects must be treated as read-only by consumers.
@@ -51,10 +54,12 @@ import hashlib
 import os
 import pickle
 import tempfile
+from contextlib import nullcontext
 
 from repro.exceptions import PhpSyntaxError
 from repro.php.ast_nodes import Program
-from repro.php.parser import parse_with_recovery
+from repro.php.lexer import tokenize
+from repro.php.parser import Parser
 
 #: bump whenever the token stream, grammar, AST node layout, entry
 #: layout, the IR instruction set (:data:`repro.ir.opcodes.IR_FORMAT`)
@@ -73,6 +78,10 @@ _ErrorSpec = tuple[str, int, int]
 #: is ``None`` for error entries and for programs lowering gave up on.
 _Entry = tuple[Program | None, tuple[_ErrorSpec, ...], _ErrorSpec | None,
                object | None]
+
+
+#: the span of an untraced store (reusable: it holds no state).
+_NO_SPAN = nullcontext()
 
 
 def _spec_of(exc: PhpSyntaxError) -> _ErrorSpec:
@@ -176,74 +185,94 @@ class PackFile:
         self._discarded = set()
 
 
-class AstCache:
-    """Content-addressed parse results on disk.
+def _is_graph(value) -> bool:
+    # imported lazily: repro.analysis.includes imports this module
+    from repro.analysis.includes import IncludeGraph
+    return isinstance(value, IncludeGraph)
 
-    Layout: ``<directory>/ast-v<AST_FORMAT>/pack.pkl`` — one
-    :class:`PackFile` holding every entry, plus legacy per-entry
-    ``<content-hash>.pkl`` files which are still read (and evicted when
-    stale) but no longer written.  The format-version directory plays the
-    role the knowledge fingerprint plays for
-    :class:`~repro.analysis.pipeline.ResultCache`: any frontend change
-    that alters tokens, grammar, node layout or the IR bumps
-    :data:`AST_FORMAT` and strands the old entries.
 
-    Puts are buffered; callers must :meth:`flush` once per scan (the
-    scheduler and scan workers do) to persist them.
+#: one store kind -> (pack file under the cache dir, key prefix, shape).
+#: ``{scope}`` is the knowledge-fingerprint prefix: results, verdicts and
+#: include graphs depend on the knowledge and share its pack.  The
+#: ``ast-v<AST_FORMAT>`` directory holds the knowledge-independent
+#: frontend kinds, plus summaries (which carry the fingerprint in their
+#: key instead).  A value whose shape check fails was written by an
+#: older layout: it is evicted like an undecodable one.
+_KINDS = {
+    "result": ("{scope}/pack.pkl", "", lambda v: isinstance(v, dict)),
+    "verdict": ("{scope}/pack.pkl", "prefilter-",
+                lambda v: isinstance(v, tuple) and len(v) == 2
+                and type(v[0]) is bool and type(v[1]) is bool),
+    "graph": ("{scope}/pack.pkl", "includes-", _is_graph),
+    "ast": ("ast-v{ast}/pack.pkl", "",
+            lambda v: isinstance(v, tuple) and len(v) == 4),
+    "facts": ("ast-v{ast}/facts.pkl", "", lambda v: isinstance(v, tuple)),
+    "summary": ("ast-v{ast}/sum-pack.pkl", "",
+                lambda v: isinstance(v, tuple) and len(v) == 2),
+}
+KINDS = tuple(_KINDS)
+
+#: slots of a kind's :attr:`Store.counts` row.
+HITS, MISSES, EVICTIONS, PUTS = range(4)
+
+
+class Store:
+    """The content-addressed on-disk store behind every cache kind.
+
+    ``get(kind, key)`` / ``put(kind, key, value)`` / :meth:`flush` serve
+    all six kinds in :data:`KINDS`; each kind maps to one
+    :class:`PackFile` and key prefix, so two kinds sharing a pack never
+    collide.  Keys are content hashes (plus, where the value depends on
+    more, the include closure's hashes or the knowledge fingerprint),
+    so an entry is invalidated exactly when its content or the
+    knowledge changes.
+
+    One policy for every kind: an undecodable or wrongly-shaped value is
+    a miss plus an eviction (dropped from disk at the next flush); an
+    unpicklable value is skipped.  Each kind keeps one
+    ``[hits, misses, evictions, puts]`` row in :attr:`counts`.  Puts
+    are buffered until :meth:`flush` (once per scan or worker chunk).
     """
 
-    def __init__(self, directory: str) -> None:
-        self.directory = os.path.join(directory, f"ast-v{AST_FORMAT}")
-        os.makedirs(self.directory, exist_ok=True)
-        self.pack = PackFile(os.path.join(self.directory, "pack.pkl"))
-        #: include facts (see :meth:`AstStore.get_facts`), raw-hash keyed
-        self.facts = PackFile(os.path.join(self.directory, "facts.pkl"))
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.puts = 0
+    def __init__(self, cache_dir: str, fingerprint: str) -> None:
+        self.fingerprint = fingerprint
+        self._packs: dict[str, PackFile] = {}
+        #: kind -> (pack, key prefix, shape check)
+        self._kinds = {}
+        for kind, (where, prefix, shape) in _KINDS.items():
+            path = os.path.join(cache_dir, where.format(
+                scope=fingerprint[:24], ast=AST_FORMAT))
+            pack = self._packs.get(path)
+            if pack is None:
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                pack = self._packs[path] = PackFile(path)
+            self._kinds[kind] = (pack, prefix, shape)
+        self.counts = {kind: [0, 0, 0, 0] for kind in KINDS}
 
-    def _entry_path(self, key: str) -> str:
-        return os.path.join(self.directory, key + ".pkl")
-
-    def get(self, key: str) -> _Entry | None:
-        blob = self.pack.get(key)
-        if self.pack.corrupt:
-            self.pack.corrupt = False
-            self.evictions += 1
+    def get(self, kind: str, key: str):
+        """The stored value of *kind* under *key*, or None."""
+        pack, prefix, shape = self._kinds[kind]
+        counts = self.counts[kind]
+        blob = pack.get(prefix + key)
+        if pack.corrupt:  # the whole pack was unreadable and is gone
+            pack.corrupt = False
+            counts[EVICTIONS] += 1
         if blob is not None:
             try:
-                # a stale pre-format-2 payload (3 elements) fails this
-                # unpacking with ValueError and is evicted below — the
-                # whole cache-version negotiation, no special casing
-                program, warnings, error, module = pickle.loads(blob)
-            except Exception:
-                self.misses += 1
-                self.pack.discard(key)
-                self.evictions += 1
-                return None
-            self.hits += 1
-            return (program, warnings, error, module)
-        entry = self._entry_path(key)
-        try:
-            with open(entry, "rb") as f:
-                program, warnings, error, module = pickle.load(f)
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except Exception:  # corrupt entries raise anything: miss + evict
-            self.misses += 1
-            try:
-                os.unlink(entry)
-                self.evictions += 1
-            except OSError:
-                pass
-            return None
-        self.hits += 1
-        return (program, warnings, error, module)
+                value = pickle.loads(blob)
+            except Exception:  # corrupt entries raise anything
+                value = None
+            if value is not None and shape(value):
+                counts[HITS] += 1
+                return value
+            pack.discard(prefix + key)
+            counts[EVICTIONS] += 1
+        counts[MISSES] += 1
+        return None
 
-    def put(self, key: str, value: _Entry) -> None:
-        """Buffer one parse result for the next :meth:`flush`."""
+    def put(self, kind: str, key: str, value) -> None:
+        """Buffer *value* under (*kind*, *key*) for the next flush."""
+        pack, prefix, _shape = self._kinds[kind]
         try:
             blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         # unpicklable members surface as PicklingError, AttributeError
@@ -251,32 +280,27 @@ class AstCache:
         except (RecursionError, pickle.PicklingError,
                 AttributeError, TypeError):
             return
-        self.pack.put(key, blob)
-        self.puts += 1
-
-    def get_facts(self, key: str):
-        """Stored include facts for raw hash *key*, or None (corrupt or
-        foreign entries are evicted)."""
-        blob = self.facts.get(key)
-        if blob is None:
-            return None
-        try:
-            facts = pickle.loads(blob)
-        except Exception:
-            facts = None
-        if not isinstance(facts, tuple):
-            self.facts.discard(key)
-            return None
-        return facts
-
-    def put_facts(self, key: str, facts) -> None:
-        self.facts.put(key, pickle.dumps(facts,
-                                         protocol=pickle.HIGHEST_PROTOCOL))
+        pack.put(prefix + key, blob)
+        self.counts[kind][PUTS] += 1
 
     def flush(self) -> None:
-        """Persist buffered puts (one atomic rewrite per pack)."""
-        self.pack.flush()
-        self.facts.flush()
+        """Persist buffered puts: one atomic rewrite per touched pack."""
+        for pack in self._packs.values():
+            pack.flush()
+
+    def take_counts(self) -> dict[str, list[int]]:
+        """The counts so far, reset to zero: a worker ships them home
+        per chunk, a warm rescan reads its own share."""
+        counts = self.counts
+        self.counts = {kind: [0, 0, 0, 0] for kind in KINDS}
+        return counts
+
+    def add_counts(self, counts: dict[str, list[int]]) -> None:
+        """Fold another store's :meth:`take_counts` into this one."""
+        for kind, row in counts.items():
+            mine = self.counts[kind]
+            for slot, value in enumerate(row):
+                mine[slot] += value
 
 
 class AstStore:
@@ -287,19 +311,24 @@ class AstStore:
     hands its ASTs to the scan phase instead of throwing them away.
 
     Args:
-        disk: optional :class:`AstCache` second tier.
+        disk: optional :class:`Store` second tier (its ``ast`` and
+            ``facts`` kinds).
         metrics: optional ``Metrics``-shaped counter sink (kept
             duck-typed to avoid importing the telemetry layer).
+        tracer: optional ``Tracer``-shaped span sink: every lex, parse
+            and lower :meth:`parse_recovering` runs becomes a span, no
+            matter which phase asked for the parse.
         facts: optional externally-owned ``{raw hash: include facts}``
             memo, letting a warm :class:`~repro.api.Scanner` keep facts
             across scan cycles.
     """
 
-    def __init__(self, disk: AstCache | None = None,
-                 metrics=None, facts: dict | None = None) -> None:
+    def __init__(self, disk: Store | None = None, metrics=None,
+                 tracer=None, facts: dict | None = None) -> None:
         self._memory: dict[str, _Entry] = {}
         self.disk = disk
         self.metrics = metrics
+        self.tracer = tracer
         self.parses = 0           # unique contents actually parsed
         self.reparse_avoided = 0  # requests served from the in-memory memo
         self.disk_hits = 0        # requests served from the on-disk cache
@@ -321,9 +350,6 @@ class AstStore:
         return hashlib.sha256(
             source.encode("utf-8", "backslashreplace")).hexdigest()
 
-    # ------------------------------------------------------------------
-    # primitives (used by traced callers that lex/parse themselves)
-    # ------------------------------------------------------------------
     def lookup(self, key: str) -> _Entry | None:
         """The memoized entry for *key*, or None (counts the outcome)."""
         entry = self._memory.get(key)
@@ -333,7 +359,7 @@ class AstStore:
                 self.metrics.counter("frontend_reparse_avoided").inc()
             return entry
         if self.disk is not None:
-            entry = self.disk.get(key)
+            entry = self.disk.get("ast", key)
             if entry is not None:
                 self._memory[key] = entry
                 self.disk_hits += 1
@@ -342,22 +368,12 @@ class AstStore:
                 return entry
         return entry
 
-    def store(self, key: str, program: Program,
-              warnings: list[PhpSyntaxError], module=None) -> None:
-        """Memoize a successful parse (and write it to the disk tier).
-
-        The program is lowered to the flat IR here — eagerly, once per
-        unique content — unless the caller already lowered it (the
-        traced pipeline path wraps the lowering in its own span).
-        """
-        if module is None:
-            module = self._lower(program)
-        entry: _Entry = (program, tuple(_spec_of(w) for w in warnings),
-                         None, module)
+    def _store(self, key: str, entry: _Entry) -> None:
+        """Memoize a parse outcome (and write it to the disk tier)."""
         self._memory[key] = entry
         self.parses += 1
         if self.disk is not None:
-            self.disk.put(key, entry)
+            self.disk.put("ast", key, entry)
 
     def _lower(self, program: Program):
         """Lower *program*, timing it; ``None`` when lowering gives up
@@ -379,19 +395,6 @@ class AstStore:
             if self.metrics is not None:
                 self.metrics.counter("ir_lower_seconds").inc(seconds)
 
-    def store_error(self, key: str, exc: PhpSyntaxError) -> None:
-        """Memoize a fatal parse failure (re-raised on later hits)."""
-        entry: _Entry = (None, (), _spec_of(exc), None)
-        self._memory[key] = entry
-        self.parses += 1
-        if self.disk is not None:
-            self.disk.put(key, entry)
-
-    def flush(self) -> None:
-        """Persist the disk tier's buffered writes, if there is one."""
-        if self.disk is not None:
-            self.disk.flush()
-
     # ------------------------------------------------------------------
     # include facts and tokens lexed ahead of the parse
     # ------------------------------------------------------------------
@@ -399,7 +402,7 @@ class AstStore:
         """The include facts memoized for raw hash *key*, or None."""
         facts = self.facts_memo.get(key)
         if facts is None and self.disk is not None:
-            facts = self.disk.get_facts(key)
+            facts = self.disk.get("facts", key)
             if facts is not None:
                 self.facts_memo[key] = facts
         if facts is not None:
@@ -409,7 +412,7 @@ class AstStore:
     def put_facts(self, key: str, facts) -> None:
         self.facts_memo[key] = facts
         if self.disk is not None:
-            self.disk.put_facts(key, facts)
+            self.disk.put("facts", key, facts)
 
     def keep_tokens(self, key: str, tokens: list) -> None:
         """Hold *tokens* for the next parse of content *key*."""
@@ -427,8 +430,8 @@ class AstStore:
         """The lowered IR module memoized for *key*, or ``None``.
 
         Deliberately does not probe the disk tier or touch the hit/miss
-        counters: callers ask right after :meth:`lookup`/:meth:`store`
-        populated the memory tier.
+        counters: callers ask right after :meth:`lookup` or
+        :meth:`parse_recovering` populated the memory tier.
         """
         entry = self._memory.get(key)
         return entry[3] if entry is not None else None
@@ -449,7 +452,7 @@ class AstStore:
                          for message, line, col in warning_specs]
 
     # ------------------------------------------------------------------
-    # the all-in-one path
+    # the one frontend entry point
     # ------------------------------------------------------------------
     def parse_recovering(self, source: str, filename: str = "<source>",
                          key: str | None = None
@@ -461,18 +464,35 @@ class AstStore:
         on cache hits for sources that previously failed.  *key* is
         ``source_key(source)`` when the caller already computed it; a
         token list held for that content (:meth:`keep_tokens`) is parsed
-        instead of lexing again.
+        instead of lexing again.  A fresh parse is lowered to the flat
+        IR right away (once per unique content); lex, parse and lower
+        each get a span when the store has a tracer.
         """
         if key is None:
             key = self.source_key(source)
         entry = self.lookup(key)
-        if entry is None:
-            try:
-                program, warnings = parse_with_recovery(
-                    source, filename, tokens=self.take_tokens(key))
-            except PhpSyntaxError as exc:
-                self.store_error(key, exc)
-                raise
-            self.store(key, program, warnings)
-            return program, warnings
-        return self.materialize(entry, filename)
+        if entry is not None:
+            return self.materialize(entry, filename)
+        try:
+            tokens = self.take_tokens(key)
+            if tokens is None:
+                with self.span("lex", filename):
+                    tokens = tokenize(source, filename)
+            with self.span("parse", filename):
+                parser = Parser(tokens, filename, recover=True)
+                program = parser.parse_program()
+        except PhpSyntaxError as exc:
+            self._store(key, (None, (), _spec_of(exc), None))
+            raise
+        warnings = list(parser.warnings)
+        with self.span("lower", filename):
+            module = self._lower(program)
+        self._store(key, (program, tuple(_spec_of(w) for w in warnings),
+                          None, module))
+        return program, warnings
+
+    def span(self, name: str, filename: str):
+        """A *name* span for *filename* (a no-op without a tracer)."""
+        if self.tracer is None:
+            return _NO_SPAN
+        return self.tracer.span(name, phase=name, file=filename)

@@ -130,10 +130,9 @@ class ScanStats:
     #: include statements statically resolved / not resolvable.
     resolved_includes: int = 0
     unresolved_includes: int = 0
-    #: AST/summary cache tiers.  Hits/misses come from the merged
-    #: cross-process counters where available (workers publish them);
-    #: puts are parent-side gauges.  ``reparse_avoided`` counts requests
-    #: served from the in-memory AST memo without touching the disk tier.
+    #: the store's ``ast`` and ``summary`` kinds (workers' counts are
+    #: shipped home per chunk).  ``reparse_avoided`` counts requests
+    #: served from the in-memory AST memo without touching the store.
     ast_cache_hits: int = 0
     ast_cache_misses: int = 0
     ast_cache_puts: int = 0
@@ -293,7 +292,7 @@ class ScanStats:
 
 
 def build_scan_stats(report, telemetry, root_span=None,
-                     cache=None, retries=(), crashes=()) -> ScanStats:
+                     counts=None, retries=(), crashes=()) -> ScanStats:
     """Distill one run's trace + metrics + report into :class:`ScanStats`.
 
     Args:
@@ -302,7 +301,9 @@ def build_scan_stats(report, telemetry, root_span=None,
         telemetry: the run's :class:`~repro.telemetry.Telemetry`.
         root_span: the run's root span; wall phases are its direct
             children.  When omitted the first parentless span is used.
-        cache: the :class:`~repro.analysis.pipeline.ResultCache`, if any.
+        counts: the run's per-kind ``[hits, misses, evictions, puts]``
+            rows (:attr:`repro.php.ast_store.Store.counts`), if it had a
+            store.
         retries: (file, exception class) isolated-retry log.
         crashes: (file, exception class) crash log.
     """
@@ -341,9 +342,12 @@ def build_scan_stats(report, telemetry, root_span=None,
     stats.slowest_files = sorted(
         ((f.filename, f.seconds) for f in report.files),
         key=lambda item: -item[1])[:TOP_SLOWEST]
-    if cache is not None:
-        stats.cache = CacheStats(cache.hits, cache.misses,
-                                 cache.evictions, cache.puts)
+    if counts is not None:
+        stats.cache = CacheStats(*counts["result"])
+        (stats.ast_cache_hits, stats.ast_cache_misses, _,
+         stats.ast_cache_puts) = counts["ast"]
+        (stats.summary_cache_hits, stats.summary_cache_misses, _,
+         stats.summary_cache_puts) = counts["summary"]
     stats.worker_retries = list(retries)
     stats.worker_crashes = list(crashes)
     stats.prefilter = getattr(report, "prefilter", None)
@@ -362,27 +366,8 @@ def build_scan_stats(report, telemetry, root_span=None,
 
     metrics = telemetry.metrics
     if metrics.enabled:
-        def _count(name: str) -> int:
-            inst = metrics.counters.get(name)
-            return int(inst.value) if inst else 0
-
-        def _gauge(name: str) -> int:
-            inst = metrics.gauges.get(name)
-            return int(inst.value) if inst else 0
-
-        # hits/misses: the counters are incremented in-process AND merged
-        # back from workers, so they dominate the parent-side gauges in
-        # parallel runs; max() keeps serial runs (where both agree) exact.
-        stats.ast_cache_hits = max(_count("ast_cache_hit"),
-                                   _gauge("ast_cache_hits"))
-        stats.ast_cache_misses = _gauge("ast_cache_misses")
-        stats.ast_cache_puts = _gauge("ast_cache_puts")
-        stats.reparse_avoided = _count("frontend_reparse_avoided")
-        stats.summary_cache_hits = max(_count("summary_cache_hit"),
-                                       _gauge("summary_cache_hits"))
-        stats.summary_cache_misses = max(_count("summary_cache_miss"),
-                                         _gauge("summary_cache_misses"))
-        stats.summary_cache_puts = _gauge("summary_cache_puts")
+        avoided = metrics.counters.get("frontend_reparse_avoided")
+        stats.reparse_avoided = int(avoided.value) if avoided else 0
         metrics.gauge("loc_per_second").set(stats.loc_per_second)
         metrics.gauge("predictor_fp_rate").set(stats.fp_rate)
         if stats.cache is not None:

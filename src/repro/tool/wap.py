@@ -39,12 +39,7 @@ from repro.mining.predictor import (
     new_predictor,
     original_predictor,
 )
-from repro.telemetry import (
-    NULL_TELEMETRY,
-    CacheStats,
-    Telemetry,
-    build_scan_stats,
-)
+from repro.telemetry import NULL_TELEMETRY, Telemetry, build_scan_stats
 from repro.tool.report import AnalysisReport, CandidateOutcome, FileReport
 from repro.vulnerabilities import (
     ORIGIN_WEAPON,
@@ -197,10 +192,7 @@ class _BaseTool:
                     if on_file is not None:
                         on_file(file_report)
         if scheduler.cache is not None:
-            report.cache = CacheStats(scheduler.cache.hits,
-                                      scheduler.cache.misses,
-                                      scheduler.cache.evictions,
-                                      scheduler.cache.puts)
+            report.cache = scheduler.cache.stats()
         report.prefilter = scheduler.prefilter_stats
         report.includes = scheduler.include_stats
         if telem.enabled:
@@ -209,7 +201,8 @@ class _BaseTool:
             telem.metrics.counter("predictor_memo_misses").inc(
                 predictor.memo_misses - memo0[1])
             report.stats = build_scan_stats(
-                report, telem, root_span, cache=scheduler.cache,
+                report, telem, root_span,
+                counts=scheduler.store.counts if scheduler.store else None,
                 retries=scheduler.retries, crashes=scheduler.crashes)
         return report
 

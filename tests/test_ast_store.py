@@ -17,10 +17,12 @@ import pytest
 from repro.analysis.options import ScanOptions
 from repro.analysis.pipeline import ScanScheduler
 from repro.exceptions import PhpSyntaxError
-from repro.php import AstCache, AstStore, Parser
+from repro.php import AST_FORMAT, AstStore, Parser, Store
+from repro.php.ast_store import EVICTIONS, PUTS, PackFile
 from repro.php.parser import parse_with_recovery
 
 
+FP = "f" * 64
 VULN = "<?php $q = $_GET['q']; echo $q;\n"
 CLEAN = "<?php echo htmlentities($_GET['x']);\n"
 
@@ -67,17 +69,17 @@ class TestAstStore:
             (second[0].message, second[0].line)
 
     def test_fatal_errors_are_memoized_and_reraised(self, monkeypatch):
-        import repro.php.parser as parser_module
+        import repro.php.ast_store as store_module
 
         calls = []
-        original = parser_module.tokenize
+        original = store_module.tokenize
 
         def counted(source, filename="<source>"):
             calls.append(filename)
             return original(source, filename)
 
         # the error below is a *lexer* error, so count tokenize calls
-        monkeypatch.setattr(parser_module, "tokenize", counted)
+        monkeypatch.setattr(store_module, "tokenize", counted)
         store = AstStore()
         broken = '<?php echo "unterminated;'  # lexer errors stay fatal
         with pytest.raises(PhpSyntaxError) as first:
@@ -103,14 +105,18 @@ class TestAstStore:
 # the on-disk tier
 # ---------------------------------------------------------------------------
 
+def _disk(cache_dir) -> Store:
+    return Store(str(cache_dir), FP)
+
+
 class TestAstCache:
     def test_disk_roundtrip_across_stores(self, tmp_path):
-        cold = AstStore(disk=AstCache(str(tmp_path)))
+        cold = AstStore(disk=_disk(tmp_path))
         cold.parse_recovering(VULN, "a.php")
-        assert cold.disk.puts == 1
-        cold.flush()  # puts are buffered until the per-scan flush
+        assert cold.disk.counts["ast"][PUTS] == 1
+        cold.disk.flush()  # puts are buffered until the per-scan flush
 
-        warm = AstStore(disk=AstCache(str(tmp_path)))
+        warm = AstStore(disk=_disk(tmp_path))
         program, warnings = warm.parse_recovering(VULN, "other.php")
         assert warm.parses == 0 and warm.disk_hits == 1
         assert len(program.body) == 2
@@ -118,37 +124,36 @@ class TestAstCache:
 
     def test_error_entries_roundtrip(self, tmp_path):
         broken = '<?php echo "unterminated;'  # lexer errors stay fatal
-        cold = AstStore(disk=AstCache(str(tmp_path)))
+        cold = AstStore(disk=_disk(tmp_path))
         with pytest.raises(PhpSyntaxError):
             cold.parse_recovering(broken, "a.php")
-        cold.flush()
+        cold.disk.flush()
 
-        warm = AstStore(disk=AstCache(str(tmp_path)))
+        warm = AstStore(disk=_disk(tmp_path))
         with pytest.raises(PhpSyntaxError) as exc:
             warm.parse_recovering(broken, "b.php")
         assert warm.parses == 0
         assert exc.value.filename == "b.php"
 
     def test_corrupt_entry_is_evicted_then_reparsed(self, tmp_path):
-        cache = AstCache(str(tmp_path))
-        store = AstStore(disk=cache)
+        store = AstStore(disk=_disk(tmp_path))
         store.parse_recovering(VULN, "a.php")
+        store.disk.flush()
         key = AstStore.source_key(VULN)
-        entry = os.path.join(cache.directory, key + ".pkl")
-        with open(entry, "wb") as f:
-            f.write(b"not a pickle")
+        pack = PackFile(os.path.join(str(tmp_path), f"ast-v{AST_FORMAT}",
+                                     "pack.pkl"))
+        pack.put(key, b"not a pickle")
+        pack.flush()
 
-        fresh = AstStore(disk=AstCache(str(tmp_path)))
+        fresh = AstStore(disk=_disk(tmp_path))
         fresh.parse_recovering(VULN, "a.php")
         assert fresh.parses == 1          # reparsed, not served corrupt
-        assert fresh.disk.evictions == 1
-        assert not os.path.exists(entry) or fresh.disk.puts == 1
+        assert fresh.disk.counts["ast"][EVICTIONS] == 1
+        assert fresh.disk.counts["ast"][PUTS] == 1
 
     def test_format_version_partitions_the_directory(self, tmp_path):
-        from repro.php import AST_FORMAT
-
-        cache = AstCache(str(tmp_path))
-        assert cache.directory.endswith(f"ast-v{AST_FORMAT}")
+        _disk(tmp_path)
+        assert os.path.isdir(tmp_path / f"ast-v{AST_FORMAT}")
 
 
 # ---------------------------------------------------------------------------
@@ -224,41 +229,6 @@ class TestPipelineParseOnce:
         assert any(o.vuln_class == "xss"
                    for entry in report.files for o in entry.outcomes)
 
-    def test_ast_cache_disabled_by_option(self, tmp_path):
-        from repro.tool import Wape
-
-        tool = Wape()
-        cache_dir = str(tmp_path / "cache")
-        on = ScanScheduler(tool._config_groups(),
-                           tool_version=tool.version,
-                           options=ScanOptions(cache_dir=cache_dir))
-        off = ScanScheduler(tool._config_groups(),
-                            tool_version=tool.version,
-                            options=ScanOptions(cache_dir=cache_dir,
-                                                ast_cache=False))
-        none = ScanScheduler(tool._config_groups(),
-                             tool_version=tool.version,
-                             options=ScanOptions())
-        assert on.ast_store.disk is not None
-        assert off.ast_store.disk is None
-        assert none.ast_store.disk is None
-
-    def test_cli_no_ast_cache_flag(self, tmp_path, capsys):
-        from repro.tool.cli import main
-
-        project = tmp_path / "proj"
-        project.mkdir()
-        _write_project(project)
-        cache_dir = str(tmp_path / "cache")
-        code = main(["--cache-dir", cache_dir, "--no-ast-cache",
-                     "--quiet", str(project)])
-        assert code in (0, 1)  # findings exist -> non-zero policies vary
-        assert not any(name.startswith("ast-v")
-                       for name in os.listdir(cache_dir))
-        code = main(["--cache-dir", cache_dir, "--quiet", str(project)])
-        assert any(name.startswith("ast-v")
-                   for name in os.listdir(cache_dir))
-
     def test_scan_populates_disk_tier_for_later_consumers(self, tmp_path):
         from repro.telemetry.metrics import Metrics
         from repro.tool import Wape
@@ -273,14 +243,14 @@ class TestPipelineParseOnce:
             tool._config_groups(), tool_version=tool.version,
             options=ScanOptions(jobs=1, cache_dir=cache_dir))
         tool.run_scheduler(first, str(project))
-        assert first.ast_cache.puts == 3  # one per unique content
+        assert first.store.counts["ast"][PUTS] == 3  # one per unique content
 
         # a later frontend consumer over the same directory (a fresh
         # process, the daemon's warm path, ...) parses nothing: every
         # content is served from the on-disk tier.  (A full re-*scan* is
         # served even earlier, by the result cache + include-graph blob.)
         metrics = Metrics()
-        warm = AstStore(disk=AstCache(cache_dir), metrics=metrics)
+        warm = AstStore(disk=_disk(cache_dir), metrics=metrics)
         for name in ("lib.php", "index.php", "admin.php", "copy.php"):
             warm.parse_recovering((project / name).read_text(), name)
         assert warm.parses == 0

@@ -253,11 +253,11 @@ class TestIncludeCacheInvalidation:
         scheduler = ScanScheduler(tool._config_groups(), tool_version=tool.version, options=ScanOptions(jobs=1, cache_dir=cache))
         scheduler.scan_tree(root)
         # other.php has no include edge to lib.php: still served cached
-        assert scheduler.cache.hits >= 1
+        assert scheduler.cache.stats().hits >= 1
         # main.php misses (its closure changed); lib.php is dep-only
         # under the prefilter — parsed lazily for its summary, not a
         # scan unit of its own
-        assert scheduler.cache.misses >= 1
+        assert scheduler.cache.stats().misses >= 1
 
 
 # ---------------------------------------------------------------------------

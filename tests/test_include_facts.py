@@ -33,7 +33,14 @@ from repro.api import Scanner
 from repro.corpus import build_webapp_corpus, build_wordpress_corpus
 from repro.exceptions import PhpSyntaxError
 from repro.php import ast, parse_with_recovery, tokenize
-from repro.php.ast_store import AST_FORMAT, AstCache, AstStore, read_source
+from repro.php.ast_store import (
+    AST_FORMAT,
+    EVICTIONS,
+    AstStore,
+    PackFile,
+    Store,
+    read_source,
+)
 from repro.php.visitor import find_all
 from repro.tool import Wape
 
@@ -419,27 +426,18 @@ class TestFactsPersistence:
         assert again.includes.facts_hits == 1
         assert len(xss_in_page(again)) == len(xss_in_page(cold)) == 1
 
-    def test_without_the_ast_tier_a_cached_graph_spares_the_lex(
-            self, tmp_path):
-        # facts cannot outlive the scan, so they are derived only when
-        # the cached whole-tree graph misses
-        root = write_tree(tmp_path / "app")
-        options = ScanOptions(jobs=1, cache_dir=str(tmp_path / "cache"),
-                              ast_cache=False)
-        tool = Wape()
-        assert tool.analyze_tree(root, options).includes.files_lexed == 1
-        warm = tool.analyze_tree(root, options)
-        assert warm.includes.files_lexed == 0
-        assert len(xss_in_page(warm)) == 1
-
     def test_corrupt_facts_entries_are_evicted(self, tmp_path):
-        cache = AstCache(str(tmp_path))
-        cache.facts.put("k", b"not a pickle")
-        cache.facts.put("j", b"\x80\x05N.")  # pickled None: not facts
-        assert cache.get_facts("k") is None
-        assert cache.get_facts("j") is None
-        cache.put_facts("ok", ((("", "/a.php"),)))
-        assert AstStore(disk=cache).get_facts("ok") == (("", "/a.php"),)
+        store = Store(str(tmp_path), "f" * 64)
+        pack = PackFile(os.path.join(str(tmp_path), f"ast-v{AST_FORMAT}",
+                                     "facts.pkl"))
+        pack.put("k", b"not a pickle")
+        pack.put("j", b"\x80\x05N.")  # pickled None: not facts
+        pack.flush()
+        assert store.get("facts", "k") is None
+        assert store.get("facts", "j") is None
+        assert store.counts["facts"][EVICTIONS] == 2
+        store.put("facts", "ok", ((("", "/a.php"),)))
+        assert AstStore(disk=store).get_facts("ok") == (("", "/a.php"),)
 
     def test_daemon_edit_re_derives_one_file(self, tmp_path):
         root = write_tree(tmp_path / "app")

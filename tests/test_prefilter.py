@@ -38,6 +38,7 @@ from repro.analysis.prefilter import (
     matcher_for,
 )
 from repro.corpus import VULNERABLE_WEBAPPS, materialize_package
+from repro.php.ast_store import EVICTIONS, Store
 from repro.tool.sarif import report_to_sarif
 from repro.tool.wap import Wape
 
@@ -243,18 +244,18 @@ class TestVerdictCache:
     def test_verdicts_persist_as_blobs_in_the_pack(self, tool, tmp_path):
         groups = tool._config_groups()
         fp = config_fingerprint(groups, tool.version)
-        cache = ResultCache(str(tmp_path), fp)
+        store = Store(str(tmp_path), fp)
         prefilter = RelevancePrefilter(matcher_for(groups, fp),
-                                       cache=cache)
+                                       store=store)
         raw = b"<?php echo $_GET['x'];"
         digest = ResultCache.content_hash(raw)
         assert prefilter.verdict(raw, digest) == (True, True)
-        cache.flush()
+        store.flush()
 
-        # a fresh process (fresh memo) must be served from the blob,
+        # a fresh process (fresh memo) must be served from the store,
         # never re-running the matcher
-        reloaded = ResultCache(str(tmp_path), fp)
-        served = RelevancePrefilter(object(), cache=reloaded)  # no matcher
+        reloaded = Store(str(tmp_path), fp)
+        served = RelevancePrefilter(object(), store=reloaded)  # no matcher
         assert served.verdict(raw, digest) == (True, True)
 
     def test_arming_a_weapon_reclassifies(self, tmp_path):
@@ -286,13 +287,14 @@ class TestVerdictCache:
     def test_stale_blob_shapes_are_ignored(self, tool, tmp_path):
         groups = tool._config_groups()
         fp = config_fingerprint(groups, tool.version)
-        cache = ResultCache(str(tmp_path), fp)
+        store = Store(str(tmp_path), fp)
         raw = b"<?php echo $_GET['x'];"
         digest = ResultCache.content_hash(raw)
-        cache.put_blob("prefilter-" + digest, {"not": "a verdict"})
+        store.put("verdict", digest, {"not": "a verdict"})
         prefilter = RelevancePrefilter(matcher_for(groups, fp),
-                                       cache=cache)
+                                       store=store)
         assert prefilter.verdict(raw, digest) == (True, True)
+        assert store.counts["verdict"][EVICTIONS] == 1
 
 
 # ---------------------------------------------------------------------------

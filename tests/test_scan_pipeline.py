@@ -25,7 +25,7 @@ from repro.analysis.pipeline import (
 )
 from repro.corpus import VULNERABLE_WEBAPPS, materialize_package
 from repro.corpus.wordpress import VULNERABLE_PLUGINS
-from repro.php import parse
+from repro.php import Store, parse
 from repro.tool import Wap21, Wape
 from repro.tool.cli import main as cli_main
 from repro.analysis.options import ScanOptions
@@ -220,9 +220,9 @@ class TestResultCache:
         # every file the prefilter let through is a hit; skipped files
         # never enter (or probe) the cache in either run
         assert scheduler.prefilter_stats is not None
-        assert scheduler.cache.hits == \
+        assert scheduler.cache.stats().hits == \
             scheduler.prefilter_stats.sink_bearing
-        assert scheduler.cache.misses == 0
+        assert scheduler.cache.stats().misses == 0
 
         warm = armed_wape.analyze_tree(corpus_tree, ScanOptions(jobs=1, cache_dir=cache))
         assert keys_of(cold) == keys_of(warm)
@@ -239,8 +239,8 @@ class TestResultCache:
         (tree / "two.php").write_text("<?php echo $_GET['b'];")
         scheduler = ScanScheduler(armed_wape._config_groups(), tool_version=armed_wape.version, options=ScanOptions(jobs=1, cache_dir=cache))
         results = scheduler.scan_tree(str(tree))
-        assert scheduler.cache.hits == 1    # one.php unchanged
-        assert scheduler.cache.misses == 1  # two.php re-analyzed
+        assert scheduler.cache.stats().hits == 1    # one.php unchanged
+        assert scheduler.cache.stats().misses == 1  # two.php re-analyzed
         two = next(r for r in results if r.filename.endswith("two.php"))
         assert two.candidates  # the edit is picked up, not served stale
 
@@ -255,7 +255,7 @@ class TestResultCache:
         (tree / "old.php").rename(tree / "new.php")
         scheduler = ScanScheduler(armed_wape._config_groups(), tool_version=armed_wape.version, options=ScanOptions(jobs=1, cache_dir=cache))
         results = scheduler.scan_tree(str(tree))
-        assert scheduler.cache.hits == 1
+        assert scheduler.cache.stats().hits == 1
         assert results[0].filename.endswith("new.php")
         assert all(c.filename.endswith("new.php")
                    for c in results[0].candidates)
@@ -273,8 +273,8 @@ class TestResultCache:
         hardened = Wape(extra_sanitizers={"sqli": {"escape"}})
         scheduler = ScanScheduler(hardened._config_groups(), tool_version=hardened.version, options=ScanOptions(jobs=1, cache_dir=cache))
         results = scheduler.scan_tree(str(tree))
-        assert scheduler.cache.hits == 0
-        assert scheduler.cache.misses == 1
+        assert scheduler.cache.stats().hits == 0
+        assert scheduler.cache.stats().misses == 1
         assert results[0].candidates == []  # escape() now sanitizes
 
     def test_armed_weapon_invalidates(self, tmp_path):
@@ -287,7 +287,7 @@ class TestResultCache:
         armed = Wape(weapon_flags=["-nosqli"])
         scheduler = ScanScheduler(armed._config_groups(), tool_version=armed.version, options=ScanOptions(jobs=1, cache_dir=cache))
         scheduler.scan_tree(str(tree))
-        assert scheduler.cache.hits == 0
+        assert scheduler.cache.stats().hits == 0
 
     def test_fingerprint_sensitivity(self):
         wape = Wape()
@@ -318,7 +318,7 @@ class TestResultCache:
     def test_cache_roundtrip_unit(self, tmp_path):
         from repro.analysis.detector import FileResult
 
-        cache = ResultCache(str(tmp_path), "f" * 64)
+        cache = ResultCache(Store(str(tmp_path), "f" * 64))
         digest = ResultCache.content_hash(b"<?php echo 1;")
         assert cache.get(digest, "x.php") is None
         cache.put(digest, FileResult(filename="x.php", lines_of_code=3))

@@ -3,11 +3,12 @@
 Covers, bottom-up:
 
 * :class:`repro.php.ast_store.PackFile` — the buffered single-file pack
-  both cache tiers (and ``ResultCache``) write through;
-* AST cache format negotiation — a stale pre-format-2 entry (3-tuple
-  payload) is evicted cleanly, never unpickle-crashed into a scan;
-* :class:`repro.analysis.summaries.SummaryCache` — roundtrip, path
-  relativization, corrupt-entry eviction, key invalidation discipline;
+  every store kind writes through;
+* AST format negotiation — a stale pre-format-2 entry (3-tuple payload)
+  is evicted cleanly, never unpickle-crashed into a scan;
+* :class:`repro.analysis.summaries.SummaryCache` — the summary kind's
+  codec: roundtrip, path relativization, corrupt-entry eviction, key
+  invalidation discipline;
 * the end-to-end property the tier exists for: a summary-warm process
   scans an include project **without re-executing dependency bodies**
   and reports byte-identical findings.
@@ -29,9 +30,25 @@ from repro.analysis.model import (
 )
 from repro.analysis.options import ScanOptions
 from repro.analysis.summaries import SUMMARY_FORMAT, SummaryCache
-from repro.php.ast_store import AST_FORMAT, AstCache, AstStore, PackFile
+from repro.php.ast_store import (
+    AST_FORMAT,
+    EVICTIONS,
+    HITS,
+    MISSES,
+    PUTS,
+    AstStore,
+    PackFile,
+    Store,
+)
 
 FP = "f" * 64
+
+
+def _frontend_pack(cache_dir, name: str) -> PackFile:
+    """The pack *name* of the ``ast-v<N>`` directory of *cache_dir*."""
+    Store(str(cache_dir), FP)  # creates the directories
+    return PackFile(os.path.join(str(cache_dir), f"ast-v{AST_FORMAT}",
+                                 name))
 
 
 # ---------------------------------------------------------------------------
@@ -113,50 +130,40 @@ class TestAstFormatNegotiation:
 
     STALE = ("fake-program", (), None)  # 3-tuple: the format-1 layout
 
-    def test_stale_legacy_file_entry_is_evicted(self, tmp_path):
-        cache = AstCache(str(tmp_path))
-        key = AstStore.source_key("<?php echo 1;\n")
-        entry = os.path.join(cache.directory, key + ".pkl")
-        with open(entry, "wb") as f:
-            pickle.dump(self.STALE, f)
-        assert cache.get(key) is None
-        assert cache.misses == 1
-        assert cache.evictions == 1
-        assert not os.path.exists(entry)
-
     def test_stale_pack_blob_is_evicted(self, tmp_path):
-        cache = AstCache(str(tmp_path))
         key = AstStore.source_key("<?php echo 1;\n")
-        cache.pack.put(key, pickle.dumps(self.STALE))
-        cache.flush()
-        fresh = AstCache(str(tmp_path))
-        assert fresh.get(key) is None
-        assert fresh.evictions == 1
-        assert fresh.get(key) is None   # stays gone after the discard
+        pack = _frontend_pack(tmp_path, "pack.pkl")
+        pack.put(key, pickle.dumps(self.STALE))
+        pack.flush()
+        fresh = Store(str(tmp_path), FP)
+        assert fresh.get("ast", key) is None
+        assert fresh.counts["ast"][EVICTIONS] == 1
+        assert fresh.get("ast", key) is None   # stays gone after the discard
 
     def test_store_reparses_over_a_stale_entry(self, tmp_path):
         source = "<?php $q = $_GET['q']; echo $q;\n"
         key = AstStore.source_key(source)
-        cache = AstCache(str(tmp_path))
-        cache.pack.put(key, pickle.dumps(self.STALE))
-        cache.flush()
+        pack = _frontend_pack(tmp_path, "pack.pkl")
+        pack.put(key, pickle.dumps(self.STALE))
+        pack.flush()
 
-        store = AstStore(disk=AstCache(str(tmp_path)))
+        store = AstStore(disk=Store(str(tmp_path), FP))
         program, warnings = store.parse_recovering(source, "a.php")
         assert store.parses == 1 and store.disk_hits == 0
         assert program is not None and warnings == []
         assert store.module_for(key) is not None  # re-lowered too
-        store.flush()
-        warm = AstStore(disk=AstCache(str(tmp_path)))
+        store.disk.flush()
+        warm = AstStore(disk=Store(str(tmp_path), FP))
         warm.parse_recovering(source, "b.php")
         assert warm.parses == 0 and warm.disk_hits == 1
 
     def test_directory_is_format_versioned(self, tmp_path):
-        assert AstCache(str(tmp_path)).directory.endswith(
-            f"ast-v{AST_FORMAT}")
-        cache = SummaryCache(str(tmp_path), FP)
-        assert cache.directory.endswith(f"ast-v{AST_FORMAT}")
-        assert cache.pack.path.endswith("sum-pack.pkl")
+        store = Store(str(tmp_path), FP)
+        store.put("ast", "k", ("program", (), None, None))
+        store.put("summary", "k", ({}, {}))
+        store.flush()
+        assert sorted(os.listdir(tmp_path / f"ast-v{AST_FORMAT}")) == \
+            ["pack.pkl", "sum-pack.pkl"]
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +191,13 @@ class TestSummaryCache:
         base = str(tmp_path / "proj")
         filename = os.path.join(base, "lib", "index.php")
         env, summaries = _state(base)
-        cache = SummaryCache(str(tmp_path / "cache"), FP)
+        cache = SummaryCache(Store(str(tmp_path / "cache"), FP))
         cache.put("k", filename, env, summaries)
-        cache.flush()
+        cache.store.flush()
 
-        warm = SummaryCache(str(tmp_path / "cache"), FP)
+        warm = SummaryCache(Store(str(tmp_path / "cache"), FP))
         got = warm.get("k", filename)
-        assert got is not None and warm.hits == 1
+        assert got is not None and warm.store.counts["summary"][HITS] == 1
         got_env, got_summaries = got
         assert got_env == env
         assert got_summaries["q"] == summaries["q"]
@@ -200,12 +207,12 @@ class TestSummaryCache:
         old = str(tmp_path / "old")
         new = str(tmp_path / "new")
         env, summaries = _state(old)
-        cache = SummaryCache(str(tmp_path / "cache"), FP)
+        cache = SummaryCache(Store(str(tmp_path / "cache"), FP))
         cache.put("k", os.path.join(old, "lib", "index.php"),
                   env, summaries)
-        cache.flush()
+        cache.store.flush()
 
-        warm = SummaryCache(str(tmp_path / "cache"), FP)
+        warm = SummaryCache(Store(str(tmp_path / "cache"), FP))
         got_env, got_summaries = warm.get(
             "k", os.path.join(new, "lib", "index.php"))
         moved_env, moved_summaries = _state(new)
@@ -215,18 +222,20 @@ class TestSummaryCache:
         assert got_summaries["q"].filename == expected
 
     def test_miss_and_corrupt_eviction(self, tmp_path):
-        cache = SummaryCache(str(tmp_path), FP)
+        cache = SummaryCache(Store(str(tmp_path), FP))
         assert cache.get("absent", "/p/x.php") is None
-        assert cache.misses == 1
-        cache.pack.put("bad", b"not a pickle")
-        cache.flush()
-        warm = SummaryCache(str(tmp_path), FP)
+        assert cache.store.counts["summary"][MISSES] == 1
+        pack = _frontend_pack(tmp_path, "sum-pack.pkl")
+        pack.put("bad", b"not a pickle")
+        pack.flush()
+        warm = SummaryCache(Store(str(tmp_path), FP))
         assert warm.get("bad", "/p/x.php") is None
-        assert warm.misses == 1 and warm.evictions == 1
+        counts = warm.store.counts["summary"]
+        assert counts[MISSES] == 1 and counts[EVICTIONS] == 1
         assert warm.get("bad", "/p/x.php") is None  # discarded
 
     def test_unpicklable_state_is_skipped_not_fatal(self, tmp_path):
-        cache = SummaryCache(str(tmp_path), FP)
+        cache = SummaryCache(Store(str(tmp_path), FP))
         env = {"g": frozenset()}
         # a lambda as the taint source survives the path mapping (its
         # path is empty) but defeats pickle -> the put is dropped whole
@@ -234,27 +243,29 @@ class TestSummaryCache:
                   {"q": FunctionSummary(
                       name="q",
                       returned_sources=[Taint(lambda: None, 1)])})
-        assert cache.puts == 0
-        cache.flush()
+        assert cache.store.counts["summary"][PUTS] == 0
+        cache.store.flush()
         assert cache.get("k", "/p/x.php") is None
 
     def test_shares_the_ast_tier_directory(self, tmp_path):
-        ast = AstCache(str(tmp_path))
-        summaries = SummaryCache(str(tmp_path), FP)
-        assert os.path.dirname(summaries.pack.path) == ast.directory
+        summaries = SummaryCache(Store(str(tmp_path), FP))
+        summaries.put("k", "/p/x.php", {}, {})
+        summaries.store.flush()
+        assert os.path.exists(tmp_path / f"ast-v{AST_FORMAT}"
+                              / "sum-pack.pkl")
 
 
 class TestStateKeyInvalidation:
     """The digest covers content + closure + knowledge fingerprint."""
 
     def test_content_edit_changes_the_key(self, tmp_path):
-        cache = SummaryCache(str(tmp_path), FP)
+        cache = SummaryCache(Store(str(tmp_path), FP))
         closure = [("lib.php", "d" * 64)]
         assert cache.state_key("a" * 64, closure) != \
             cache.state_key("b" * 64, closure)
 
     def test_dependency_edit_changes_the_key(self, tmp_path):
-        cache = SummaryCache(str(tmp_path), FP)
+        cache = SummaryCache(Store(str(tmp_path), FP))
         own = "a" * 64
         assert cache.state_key(own, [("lib.php", "d" * 64)]) != \
             cache.state_key(own, [("lib.php", "e" * 64)])
@@ -264,20 +275,20 @@ class TestStateKeyInvalidation:
 
     def test_fingerprint_changes_the_key(self, tmp_path):
         own, closure = "a" * 64, [("lib.php", "d" * 64)]
-        one = SummaryCache(str(tmp_path / "1"), "1" * 64)
-        two = SummaryCache(str(tmp_path / "2"), "2" * 64)
+        one = SummaryCache(Store(str(tmp_path / "1"), "1" * 64))
+        two = SummaryCache(Store(str(tmp_path / "2"), "2" * 64))
         assert one.state_key(own, closure) != two.state_key(own, closure)
 
     def test_closure_order_is_significant(self, tmp_path):
         # closure order is deterministic (include order); a reordering
         # means a different composition, so it must not collide
-        cache = SummaryCache(str(tmp_path), FP)
+        cache = SummaryCache(Store(str(tmp_path), FP))
         a, b = ("a.php", "1" * 64), ("b.php", "2" * 64)
         assert cache.state_key("c" * 64, [a, b]) != \
             cache.state_key("c" * 64, [b, a])
 
     def test_format_constant_is_in_the_digest(self, tmp_path):
-        cache = SummaryCache(str(tmp_path), FP)
+        cache = SummaryCache(Store(str(tmp_path), FP))
         key = cache.state_key("a" * 64, [])
         assert key != cache.fingerprint
         assert SUMMARY_FORMAT >= 1

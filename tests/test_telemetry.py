@@ -14,6 +14,7 @@ Covers the observability contract of the scan pipeline:
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -34,6 +35,7 @@ from repro.telemetry import (
 from repro.telemetry.tracing import NULL_SPAN
 from repro.tool.wap import Wape
 from repro.analysis.options import ScanOptions
+from repro.php.ast_store import PackFile, Store
 
 
 @pytest.fixture(scope="module")
@@ -276,18 +278,21 @@ class TestScanHealth:
         assert "3 hits" in warm.render_stats()
 
     def test_corrupt_cache_entry_is_evicted_and_counted(self, tmp_path):
-        cache = pipeline.ResultCache(str(tmp_path), "f" * 64)
+        store = Store(str(tmp_path), "f" * 64)
+        cache = pipeline.ResultCache(store)
         digest = pipeline.ResultCache.content_hash(b"<?php")
-        entry = cache._entry_path(digest)
-        with open(entry, "wb") as f:
-            f.write(b"not a pickle")
+        pack = PackFile(os.path.join(str(tmp_path), "f" * 24, "pack.pkl"))
+        pack.put(digest, b"not a pickle")
+        pack.flush()
         assert cache.get(digest, "a.php") is None
-        assert (cache.misses, cache.evictions) == (1, 1)
-        import os
-        assert not os.path.exists(entry)
+        stats = cache.stats()
+        assert (stats.misses, stats.evictions) == (1, 1)
         # the evicted entry stays evicted: next probe is a plain miss
         assert cache.get(digest, "a.php") is None
-        assert (cache.misses, cache.evictions) == (2, 1)
+        stats = cache.stats()
+        assert (stats.misses, stats.evictions) == (2, 1)
+        store.flush()
+        assert Store(str(tmp_path), "f" * 64).get("result", digest) is None
 
     def test_parse_error_diagnosable_from_json(self, tool, tmp_path):
         (tmp_path / "bad.php").write_text("<?php echo $_GET if ( { {{")
